@@ -10,22 +10,22 @@ module Make (S : Range_structure.S) = struct
      ℓ-bit membership prefix b holds every element whose vector starts with
      b. Level 0 is the full ground set.
 
-     Host-side cost discipline: every update does O(levels) hashtable work
-     plus whatever [S.insert]/[S.remove] cost, never O(n) bookkeeping. The
-     live-id arena supports O(1) insert/remove/uniform-sample, and memory
-     charges follow the O(1) range deltas the structures report instead of
-     re-diffing the full live range set per update. *)
+     Host-side cost discipline: every update does one prefix lookup per
+     level plus whatever [S.insert]/[S.remove] cost, never O(n)
+     bookkeeping. The live-id arena supports O(1) insert/remove/uniform-
+     sample, and memory charges follow the O(1) range deltas the
+     structures report instead of re-diffing the full live range set per
+     update. *)
 
-  (* All mutable state of one level lives in its [level_state] and nowhere
-     else. That ownership boundary is what the parallel write path runs on:
-     a batch hands each level to its own domain, and the level tasks share
-     nothing but the read-only batch array, the read-only key index and the
-     network's charge buffers — no locks needed, no interleaving visible. *)
-  type level_state = {
-    structures : (int, S.t) Hashtbl.t;  (* prefix -> structure *)
-    members : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* prefix -> member ids *)
-    charged : (int, (int, unit) Hashtbl.t) Hashtbl.t;  (* prefix -> charged range ids *)
-  }
+  (* A level is its prefix -> structure table and nothing else. A level
+     set's keys and live ranges are what its structure holds ([S.size],
+     [S.range_ids]), and membership itself is a pure hash of
+     (seed, id, level), so no side table mirrors either. The table is
+     also the ownership boundary the parallel write path runs on: a batch
+     hands each level to its own domain, and the level tasks share nothing
+     but the read-only batch array, the read-only key index and their own
+     charge buffers — no locks needed, no interleaving visible. *)
+  type level_state = (int, S.t) Hashtbl.t
 
   type t = {
     net : Network.t;
@@ -55,8 +55,8 @@ module Make (S : Range_structure.S) = struct
     redraw : (int * int * int * int, int) Hashtbl.t;
     vecs : Membership.t;
     mutable layers : level_state array;  (* index = level; length = top + 1 *)
-    key_ids : (S.key, int) Hashtbl.t;
-    id_keys : (int, S.key) Hashtbl.t;
+    key_ids : (S.key, int) Hashtbl.t;  (* [S.canonical] key -> id *)
+    id_keys : (int, S.key) Hashtbl.t;  (* id -> the key as stored *)
     (* Swap-pop arena of live element ids: the first [live] slots of [ids]
        are the live ids, [id_pos] maps an id back to its slot. *)
     mutable ids : int array;
@@ -72,8 +72,7 @@ module Make (S : Range_structure.S) = struct
 
   let prefix t id len = Membership.prefix t.vecs ~id ~len
 
-  let fresh_layer () =
-    { structures = Hashtbl.create 16; members = Hashtbl.create 16; charged = Hashtbl.create 16 }
+  let fresh_layer () : level_state = Hashtbl.create 16
 
   (* Is this level in the cache window, with an active cache? With
      [cache_replicas = 1] (the default) this is false everywhere, and
@@ -213,66 +212,34 @@ module Make (S : Range_structure.S) = struct
 
   (* ------- incremental memory accounting ------- *)
 
-  let find_or_create tbl key =
-    match Hashtbl.find_opt tbl key with
-    | Some h -> h
-    | None ->
-        let h = Hashtbl.create 16 in
-        Hashtbl.replace tbl key h;
-        h
-
-  let member_table ly b = find_or_create ly.members b
-
-  let charged_table ly b = find_or_create ly.charged b
-
   (* The charge sink: serialized single-op paths charge the network
      directly; per-level batch tasks pass a [Network.charge buffer] sink
      instead, so concurrent levels commit order-independent netted sums. *)
   let direct_charge t h k = Network.charge_memory t.net h k
 
-  (* Charge every given range of a freshly built level structure (its
-     charged table must be empty). *)
-  let charge_fresh t ~charge ly level b rids =
-    let ch = charged_table ly b in
-    List.iter
-      (fun rid ->
-        Hashtbl.replace ch rid ();
-        charge_replicas t ~charge level b rid 1)
-      rids
+  let release_range t ~charge level b rid =
+    charge_replicas t ~charge level b rid (-1);
+    forget_redraws t level b rid
 
-  (* Release every charge of one level set (structure dropped or level
-     shrunk away). *)
-  let uncharge_set t ~charge ly level b =
-    match Hashtbl.find_opt ly.charged b with
-    | None -> ()
-    | Some ch ->
-        Hashtbl.iter
-          (fun rid () ->
-            charge_replicas t ~charge level b rid (-1);
-            forget_redraws t level b rid)
-          ch;
-        Hashtbl.remove ly.charged b
+  (* Install a freshly built level-set structure and charge all its
+     ranges. *)
+  let add_set t ~charge ly level b s =
+    Hashtbl.replace ly b s;
+    List.iter (fun rid -> charge_replicas t ~charge level b rid 1) (S.range_ids s)
+
+  (* Drop a level set's structure, releasing every charge it held — the
+     same net charges as removing its keys one at a time. *)
+  let drop_set t ~charge ly level b s =
+    Hashtbl.remove ly b;
+    List.iter (release_range t ~charge level b) (S.range_ids s)
 
   (* Apply an O(1) range delta reported by [S.insert]/[S.remove]: the only
-     memory traffic an update generates. Membership-guarded so a duplicate
-     report cannot double-charge. *)
-  let apply_delta t ~charge ly level b (d : Range_structure.range_delta) =
-    let ch = charged_table ly b in
-    List.iter
-      (fun rid ->
-        if not (Hashtbl.mem ch rid) then begin
-          Hashtbl.replace ch rid ();
-          charge_replicas t ~charge level b rid 1
-        end)
-      d.Range_structure.added;
-    List.iter
-      (fun rid ->
-        if Hashtbl.mem ch rid then begin
-          Hashtbl.remove ch rid;
-          charge_replicas t ~charge level b rid (-1);
-          forget_redraws t level b rid
-        end)
-      d.Range_structure.removed
+     memory traffic an update generates. The delta contract in
+     {!Range_structure} (added ranges are new, removed ones were live)
+     keeps the charges equal to the live ranges. *)
+  let apply_delta t ~charge level b (d : Range_structure.range_delta) =
+    List.iter (fun rid -> charge_replicas t ~charge level b rid 1) d.Range_structure.added;
+    List.iter (release_range t ~charge level b) d.Range_structure.removed
 
   let required_top n =
     let rec go k = if 1 lsl k >= max 1 n then k else go (k + 1) in
@@ -281,24 +248,16 @@ module Make (S : Range_structure.S) = struct
   (* Build every set of one level in a single pass over the ground set:
      bucket the keys by level prefix, then one [S.build] per bucket. Reads
      only [t.id_keys] (frozen during a batch) and writes only this level's
-     state, so levels build concurrently. When a pool is threaded in (the
-     coarse levels of the two-axis schedule, which run one at a time in
-     the caller), each bucket build may shard host-local work over it. *)
-  let build_level ?pool t ~charge level =
+     state, so levels build concurrently. *)
+  let build_level t ~charge level =
     let ly = t.layers.(level) in
     let buckets = Hashtbl.create 64 in
     Hashtbl.iter
       (fun id k ->
         let b = prefix t id level in
-        Hashtbl.replace (member_table ly b) id ();
         Hashtbl.replace buckets b (k :: (try Hashtbl.find buckets b with Not_found -> [])))
       t.id_keys;
-    Hashtbl.iter
-      (fun b ks ->
-        let s = S.build ?pool (Array.of_list ks) in
-        Hashtbl.replace ly.structures b s;
-        charge_fresh t ~charge ly level b (S.range_ids s))
-      buckets
+    Hashtbl.iter (fun b ks -> add_set t ~charge ly level b (S.build (Array.of_list ks))) buckets
 
   (* Register a fresh key: allocate its id and index it. Ids are handed out
      in presentation order, and the id fixes the element's membership
@@ -307,16 +266,17 @@ module Make (S : Range_structure.S) = struct
      arriving one at a time. Registration is the coin-drawing step, so it
      always runs sequentially before any level task starts: the membership
      bits [Membership.prefix] derives from (seed, id, level) can never
-     depend on how the levels are later scheduled. *)
-  let register t k =
+     depend on how the levels are later scheduled. [c] is the key's
+     [S.canonical] form, [k] the key as stored. *)
+  let register t c k =
     let id = t.next_id in
     t.next_id <- id + 1;
-    Hashtbl.replace t.key_ids k id;
+    Hashtbl.replace t.key_ids c id;
     Hashtbl.replace t.id_keys id k;
     arena_add t id;
     id
 
-  let grow_top ?pool t =
+  let grow_top t =
     let wanted = required_top (size t) in
     if t.top < wanted then begin
       let old = t.layers in
@@ -324,7 +284,7 @@ module Make (S : Range_structure.S) = struct
         Array.init (wanted + 1) (fun l -> if l < Array.length old then old.(l) else fresh_layer ());
       while t.top < wanted do
         let level = t.top + 1 in
-        build_level ?pool t ~charge:(direct_charge t) level;
+        build_level t ~charge:(direct_charge t) level;
         t.top <- level
       done
     end
@@ -350,89 +310,48 @@ module Make (S : Range_structure.S) = struct
 
   (* One level's slice of a bulk insertion: group the sorted fresh batch
      by membership prefix, then one batch splice per level set —
-     [S.insert_batch] nets the same deltas the per-key loop reported, and
-     shards the splice over [?pool] when the two-axis schedule threads
-     one in. A set the batch creates from nothing takes one canonical
-     [S.build] over its whole group. *)
-  let insert_sweep ?pool t ~charge fresh level =
+     [S.insert_batch] nets the same deltas the per-key loop reported. A
+     set the batch creates from nothing takes one canonical [S.build] over
+     its whole group. *)
+  let insert_sweep t ~charge fresh level =
     let ly = t.layers.(level) in
     List.iter
       (fun (b, group) ->
-        Array.iter (fun (_, id) -> Hashtbl.replace (member_table ly b) id ()) group;
         let ks = Array.map fst group in
-        match Hashtbl.find_opt ly.structures b with
-        | Some s -> apply_delta t ~charge ly level b (S.insert_batch ?pool s ks)
-        | None ->
-            let s = S.build ?pool ks in
-            Hashtbl.replace ly.structures b s;
-            charge_fresh t ~charge ly level b (S.range_ids s))
+        match Hashtbl.find_opt ly b with
+        | Some s -> apply_delta t ~charge level b (S.insert_batch s ks)
+        | None -> add_set t ~charge ly level b (S.build ks))
       (bucket_sorted t fresh level)
 
   (* One level's slice of a bulk deletion: drop a set's structure outright
-     once the batch empties its member set (releasing every charge it
-     held — same net charges as removing its keys one at a time), batch
-     removal otherwise. *)
-  let remove_sweep ?pool t ~charge victims level =
+     when the batch holds all of its keys, batch removal otherwise. *)
+  let remove_sweep t ~charge victims level =
     let ly = t.layers.(level) in
     List.iter
       (fun (b, group) ->
-        Array.iter (fun (_, id) -> Hashtbl.remove (member_table ly b) id) group;
-        match Hashtbl.find_opt ly.structures b with
-        | Some s ->
-            if Hashtbl.length (member_table ly b) = 0 then begin
-              Hashtbl.remove ly.structures b;
-              uncharge_set t ~charge ly level b
-            end
-            else apply_delta t ~charge ly level b (S.remove_batch ?pool s (Array.map fst group))
+        match Hashtbl.find_opt ly b with
+        | Some s when S.size s = Array.length group -> drop_set t ~charge ly level b s
+        | Some s -> apply_delta t ~charge level b (S.remove_batch s (Array.map fst group))
         | None -> failwith "Hierarchy.remove_batch: missing structure")
       (bucket_sorted t victims level)
 
-  (* How many of the biggest levels get intra-level sharding instead of a
-     level task of their own: level ℓ holds ~n/2^ℓ keys, so levels up to
-     log2(jobs) each still carry at least a whole domain's fair share and
-     are worth splitting across every domain. *)
-  let coarse_levels t p =
-    let jobs = Pool.jobs p in
-    let rec lg acc = if 1 lsl acc >= jobs then acc else lg (acc + 1) in
-    min t.top (lg 0)
-
-  (* The two-axis schedule. Level ℓ holds every key whose first ℓ coins
-     came up heads, so per-level sweep cost falls geometrically with ℓ —
-     fanning one task per level caps the speedup at the level count and
-     serializes everything behind level 0's task. Instead: the coarse
-     levels (0 .. log2 jobs) run one at a time in the caller with the
-     pool threaded {e into} the sweep, where the chunk-shard batch engine
-     splits the level's splice across every domain; the remaining levels
-     then fan out one task per level, heaviest first, as before. The two
-     phases cannot overlap (the pool is not re-entrant), but the fanned
-     tail holds at most ~n/jobs of the work, so little is lost.
-
-     Charge discipline: the coarse phase charges the network directly
-     (nothing else is charging), the fanned tasks buffer and commit
-     netted per-host sums through the network's atomics — either way
-     per-host memory is bit-identical to the sequential loop for any
-     jobs count. *)
-  let run_levels ?pool t (f : ?pool:Pool.t -> charge:(int -> int -> unit) -> int -> unit) =
+  (* Run one sweep per level. Every level partitions the whole ground set,
+     so each level's sweep sees every key of the batch and the levels cost
+     about the same: with a pool, each level is one equal-weight task.
+     Each task charges through its own deferred buffer and commits netted
+     per-host sums through the network's atomics, so per-host memory is
+     bit-identical to the sequential loop for any jobs count. *)
+  let run_levels ?pool t (f : charge:(int -> int -> unit) -> int -> unit) =
     match pool with
     | None ->
         for level = 0 to t.top do
           f ~charge:(direct_charge t) level
         done
     | Some p ->
-        let coarse = coarse_levels t p in
-        for level = 0 to coarse do
-          f ~pool:p ~charge:(direct_charge t) level
-        done;
-        let rest = t.top - coarse in
-        if rest > 0 then begin
-          let n = size t in
-          let weights = Array.init rest (fun i -> (n lsr (coarse + 1 + i)) + 1) in
-          Pool.parallel_for_tasks p ~weights (fun i ->
-              let level = coarse + 1 + i in
-              let buf = Network.deferred_charges t.net in
-              f ~charge:(Network.charge buf) level;
-              Network.commit_charges buf)
-        end
+        Pool.parallel_for_tasks p ~weights:(Array.make (t.top + 1) 1) (fun level ->
+            let buf = Network.deferred_charges t.net in
+            f ~charge:(Network.charge buf) level;
+            Network.commit_charges buf)
 
   (* Bulk insertion: register the whole batch (drawing every membership
      coin sequentially), then stream it through the hierarchy level by
@@ -444,10 +363,14 @@ module Make (S : Range_structure.S) = struct
      routing, hence no messages; returns the number of keys actually
      inserted. *)
   let insert_batch ?pool t keys =
+    (* Canonicalizing first rejects an inadmissible key before any id is
+       drawn, leaving the hierarchy untouched. *)
+    let cs = Array.map S.canonical keys in
     let was_empty = size t = 0 in
     let fresh = ref [] in
-    Array.iter
-      (fun k -> if not (Hashtbl.mem t.key_ids k) then fresh := (k, register t k) :: !fresh)
+    Array.iteri
+      (fun i k ->
+        if not (Hashtbl.mem t.key_ids cs.(i)) then fresh := (k, register t cs.(i) k) :: !fresh)
       keys;
     let fresh = Array.of_list (List.rev !fresh) in
     let count = Array.length fresh in
@@ -455,13 +378,13 @@ module Make (S : Range_structure.S) = struct
     else if was_empty then begin
       t.top <- required_top (size t);
       t.layers <- Array.init (t.top + 1) (fun _ -> fresh_layer ());
-      run_levels ?pool t (fun ?pool ~charge level -> build_level ?pool t ~charge level);
+      run_levels ?pool t (build_level t);
       count
     end
     else begin
       Array.sort (fun (a, _) (b, _) -> compare a b) fresh;
-      run_levels ?pool t (fun ?pool ~charge level -> insert_sweep ?pool t ~charge fresh level);
-      grow_top ?pool t;
+      run_levels ?pool t (fun ~charge level -> insert_sweep t ~charge fresh level);
+      grow_top t;
       count
     end
 
@@ -505,7 +428,7 @@ module Make (S : Range_structure.S) = struct
 
   type repair_stats = { scanned : int; repaired : int; messages : int; lost : int }
 
-  (* One repair pass: walk every charged range, and for every replica slot
+  (* One repair pass: walk every live range, and for every replica slot
      whose current host is dead, bump the slot's redraw generation until
      its placement hash lands on a live host, migrate the memory charge
      off the dead host, and bill one copy message for stealing the range
@@ -525,9 +448,9 @@ module Make (S : Range_structure.S) = struct
     Array.iteri
       (fun level ly ->
         Hashtbl.iter
-          (fun b ch ->
-            Hashtbl.iter
-              (fun rid () ->
+          (fun b s ->
+            List.iter
+              (fun rid ->
                 incr scanned;
                 (* Every copy of the range: its r data replicas plus, at
                    cached levels, the cache copies — a cache copy on a
@@ -567,23 +490,23 @@ module Make (S : Range_structure.S) = struct
                     end
                   done
                 end)
-              ch)
-          ly.charged)
+              (S.range_ids s))
+          ly)
       t.layers;
     { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
 
   let level_set_sizes t level =
-    Hashtbl.fold (fun _ s acc -> S.size s :: acc) t.layers.(level).structures []
+    Hashtbl.fold (fun _ s acc -> S.size s :: acc) t.layers.(level) []
 
   let total_storage t =
     Array.fold_left
-      (fun acc ly -> Hashtbl.fold (fun _ s acc -> acc + S.storage_units s) ly.structures acc)
+      (fun acc ly -> Hashtbl.fold (fun _ s acc -> acc + S.storage_units s) ly acc)
       0 t.layers
 
   type query_stats = { messages : int; ranges_visited : int; per_level_visits : int list }
 
   let structure_exn t level b =
-    match Hashtbl.find_opt t.layers.(level).structures b with
+    match Hashtbl.find_opt t.layers.(level) b with
     | Some s -> s
     | None -> failwith "Hierarchy: missing level structure on an element's path"
 
@@ -736,28 +659,23 @@ module Make (S : Range_structure.S) = struct
   (* The counterpart of [grow_top]: after deletions the required number of
      levels shrinks, so dead levels must be dropped — otherwise the
      hierarchy pays their linking messages and per-host memory forever.
-     With per-level state this is: release every charge the dying layers
+     With per-level state this is: release every range the dying layers
      hold, then truncate the layer array. *)
   let shrink_top t =
     let wanted = required_top (size t) in
     if t.top > wanted then begin
       for level = wanted + 1 to t.top do
-        let ly = t.layers.(level) in
         Hashtbl.iter
-          (fun b ch ->
-            Hashtbl.iter
-              (fun rid () ->
-                charge_replicas t ~charge:(direct_charge t) level b rid (-1);
-                forget_redraws t level b rid)
-              ch)
-          ly.charged
+          (fun b s -> List.iter (release_range t ~charge:(direct_charge t) level b) (S.range_ids s))
+          t.layers.(level)
       done;
       t.layers <- Array.sub t.layers 0 (wanted + 1);
       t.top <- wanted
     end
 
   let insert t k =
-    if Hashtbl.mem t.key_ids k then 0
+    let c = S.canonical k in
+    if Hashtbl.mem t.key_ids c then 0
     else begin
       (* Locate first (§4): route a probe query if the structure is not
          empty, paying its message cost. *)
@@ -768,18 +686,14 @@ module Make (S : Range_structure.S) = struct
           let _, stats = query_from t (sample_id t rng) (S.probe k) in
           stats.messages
       in
-      let id = register t k in
+      let id = register t c k in
       let charge = direct_charge t in
       for level = 0 to t.top do
         let ly = t.layers.(level) in
         let b = prefix t id level in
-        Hashtbl.replace (member_table ly b) id ();
-        match Hashtbl.find_opt ly.structures b with
-        | Some s -> apply_delta t ~charge ly level b (S.insert s k)
-        | None ->
-            let s = S.build [| k |] in
-            Hashtbl.replace ly.structures b s;
-            charge_fresh t ~charge ly level b (S.range_ids s)
+        match Hashtbl.find_opt ly b with
+        | Some s -> apply_delta t ~charge level b (S.insert s k)
+        | None -> add_set t ~charge ly level b (S.build [| k |])
       done;
       let linking_cost = 2 * (t.top + 1) in
       grow_top t;
@@ -787,9 +701,11 @@ module Make (S : Range_structure.S) = struct
     end
 
   let remove t k =
-    match Hashtbl.find_opt t.key_ids k with
+    let c = S.canonical k in
+    match Hashtbl.find_opt t.key_ids c with
     | None -> 0
     | Some id ->
+        let k = Hashtbl.find t.id_keys id in
         let locate_cost =
           let rng = Prng.create (id + 991) in
           let _, stats = query_from t (sample_id t rng) (S.probe k) in
@@ -799,17 +715,12 @@ module Make (S : Range_structure.S) = struct
         for level = 0 to t.top do
           let ly = t.layers.(level) in
           let b = prefix t id level in
-          Hashtbl.remove (member_table ly b) id;
-          match Hashtbl.find_opt ly.structures b with
-          | Some s ->
-              if Hashtbl.length (member_table ly b) = 0 then begin
-                Hashtbl.remove ly.structures b;
-                uncharge_set t ~charge ly level b
-              end
-              else apply_delta t ~charge ly level b (S.remove s k)
+          match Hashtbl.find_opt ly b with
+          | Some s when S.size s = 1 -> drop_set t ~charge ly level b s
+          | Some s -> apply_delta t ~charge level b (S.remove s k)
           | None -> failwith "Hierarchy.remove: missing structure"
         done;
-        Hashtbl.remove t.key_ids k;
+        Hashtbl.remove t.key_ids c;
         Hashtbl.remove t.id_keys id;
         arena_remove t id;
         let cost = locate_cost + (2 * (t.top + 1)) in
@@ -818,18 +729,19 @@ module Make (S : Range_structure.S) = struct
 
   (* Bulk deletion, the mirror of [insert_batch]: one sorted sweep per
      level (fanned over the pool when one is given), dropping a level set's
-     structure outright once the batch has emptied its member set, then one
-     hierarchy shrink at the end. Host-side only; returns the number of
-     keys actually removed. *)
+     structure outright when the batch empties it, then one hierarchy
+     shrink at the end. Every key resolves to its stored form before any
+     level mutates. Host-side only; returns the number of keys actually
+     removed. *)
   let remove_batch ?pool t keys =
     let victims = ref [] in
     let seen = Hashtbl.create (max 16 (Array.length keys)) in
     Array.iter
       (fun k ->
-        match Hashtbl.find_opt t.key_ids k with
+        match Hashtbl.find_opt t.key_ids (S.canonical k) with
         | Some id when not (Hashtbl.mem seen id) ->
             Hashtbl.replace seen id ();
-            victims := (k, id) :: !victims
+            victims := (Hashtbl.find t.id_keys id, id) :: !victims
         | Some _ | None -> ())
       keys;
     let victims = Array.of_list (List.rev !victims) in
@@ -837,10 +749,10 @@ module Make (S : Range_structure.S) = struct
     if count = 0 then 0
     else begin
       Array.sort (fun (a, _) (b, _) -> compare a b) victims;
-      run_levels ?pool t (fun ?pool ~charge level -> remove_sweep ?pool t ~charge victims level);
+      run_levels ?pool t (fun ~charge level -> remove_sweep t ~charge victims level);
       Array.iter
         (fun (k, id) ->
-          Hashtbl.remove t.key_ids k;
+          Hashtbl.remove t.key_ids (S.canonical k);
           Hashtbl.remove t.id_keys id;
           arena_remove t id)
         victims;
@@ -862,22 +774,35 @@ module Make (S : Range_structure.S) = struct
     let n = size t in
     if Array.length t.layers <> t.top + 1 then
       failwith "Hierarchy: layer array out of sync with top";
+    (* Key index: every stored key is indexed under its canonical form. *)
+    if Hashtbl.length t.id_keys <> n then failwith "Hierarchy: key index size disagrees with ids";
+    Hashtbl.iter
+      (fun id k ->
+        if Hashtbl.find_opt t.key_ids (S.canonical k) <> Some id then
+          failwith "Hierarchy: key index out of sync with stored keys")
+      t.id_keys;
+    (* Each level partitions the ground set by membership prefix: recount
+       the partition from the ids and compare it set by set with what the
+       structures hold. *)
     for level = 0 to t.top do
       let ly = t.layers.(level) in
-      let covered = ref 0 in
+      let counts = Hashtbl.create 64 in
       Hashtbl.iter
-        (fun b members ->
-          covered := !covered + Hashtbl.length members;
-          (match Hashtbl.find_opt ly.structures b with
+        (fun id _ ->
+          let b = prefix t id level in
+          Hashtbl.replace counts b (1 + try Hashtbl.find counts b with Not_found -> 0))
+        t.id_keys;
+      Hashtbl.iter
+        (fun b c ->
+          match Hashtbl.find_opt ly b with
           | Some s ->
-              if S.size s <> Hashtbl.length members then
-                failwith "Hierarchy: structure size disagrees with member set"
-          | None -> if Hashtbl.length members > 0 then failwith "Hierarchy: missing structure");
-          Hashtbl.iter
-            (fun id () -> if prefix t id level <> b then failwith "Hierarchy: member in wrong set")
-            members)
-        ly.members;
-      if !covered <> n then failwith "Hierarchy: level does not partition the ground set"
+              if S.size s <> c then failwith "Hierarchy: structure size disagrees with member set"
+          | None -> failwith "Hierarchy: missing structure")
+        counts;
+      Hashtbl.iter
+        (fun b _ ->
+          if not (Hashtbl.mem counts b) then failwith "Hierarchy: structure for an empty level set")
+        ly
     done;
     if t.top <> required_top n then failwith "Hierarchy: top out of sync with size";
     (* Arena: exactly the live ids, each knowing its slot. *)
@@ -887,52 +812,37 @@ module Make (S : Range_structure.S) = struct
       if Hashtbl.find_opt t.id_pos id <> Some i then failwith "Hierarchy: id arena slot broken";
       if not (Hashtbl.mem t.id_keys id) then failwith "Hierarchy: dead id in arena"
     done;
-    (* Charged ranges track the live ranges of every structure exactly. *)
-    Array.iter
-      (fun ly ->
-        Hashtbl.iter
-          (fun b s ->
-            let ch =
-              match Hashtbl.find_opt ly.charged b with
-              | Some ch -> ch
-              | None -> failwith "Hierarchy: structure with no charged table"
-            in
-            let rids = S.range_ids s in
-            if List.length rids <> Hashtbl.length ch then
-              failwith "Hierarchy: charged range count drifted from live ranges";
-            List.iter
-              (fun rid ->
-                if not (Hashtbl.mem ch rid) then failwith "Hierarchy: live range uncharged")
-              rids)
-          ly.structures;
-        Hashtbl.iter
-          (fun b ch ->
-            if Hashtbl.length ch > 0 && not (Hashtbl.mem ly.structures b) then
-              failwith "Hierarchy: charges for a dropped structure")
-          ly.charged)
-      t.layers;
-    (* Cross-check the charges against the simulator's per-host memory.
-       (Assumes this hierarchy is the only structure charging this
-       network, which holds in the test harnesses.) *)
+    (* Memory charges are the live ranges, one unit on every copy:
+       recompute per-host charges from the structures' own range ids and
+       cross-check them against the simulator's per-host memory. (Assumes
+       this hierarchy is the only structure charging this network, which
+       holds in the test harnesses.) *)
     let expected = Hashtbl.create 64 in
     Array.iteri
       (fun level ly ->
         Hashtbl.iter
-          (fun b ch ->
-            Hashtbl.iter
-              (fun rid () ->
+          (fun b s ->
+            let rids = List.sort compare (S.range_ids s) in
+            ignore
+              (List.fold_left
+                 (fun prev rid ->
+                   if prev = Some rid then failwith "Hierarchy: duplicate live range id";
+                   Some rid)
+                 None rids);
+            List.iter
+              (fun rid ->
                 for j = 0 to slots_at t level - 1 do
                   let h = replica_host t level b rid j in
                   Hashtbl.replace expected h (1 + try Hashtbl.find expected h with Not_found -> 0)
                 done)
-              ch)
-          ly.charged)
+              rids)
+          ly)
       t.layers;
     for h = 0 to Network.host_count t.net - 1 do
       let e = try Hashtbl.find expected h with Not_found -> 0 in
       if Network.memory t.net h <> e then
         failwith
-          (Printf.sprintf "Hierarchy: host %d memory %d but charged %d" h
+          (Printf.sprintf "Hierarchy: host %d memory %d but its live ranges need %d" h
              (Network.memory t.net h) e)
     done
 end

@@ -68,7 +68,12 @@ module Make (S : Range_structure.S) : sig
       With [pool], the per-level construction fans out over its domains
       (see {!insert_batch}, which this routes through); the resulting
       structure, storage and per-host memory are bit-identical for any
-      jobs count. *)
+      jobs count.
+
+      Keys are identified by {!Range_structure.S.canonical}: keys the
+      structure stores as one (two points in the same grid cell) count
+      once, the first occurrence being the one stored. An inadmissible
+      key raises [Invalid_argument]. *)
 
   val size : t -> int
   val levels : t -> int
@@ -182,15 +187,20 @@ module Make (S : Range_structure.S) : sig
 
   val insert : t -> S.key -> int
   (** Add an element; returns the message cost (a locate plus O(1) linking
-      messages per level, §4). Grows the level hierarchy when n crosses a
-      power of two. Host-side work is O(log n) bookkeeping plus the
-      structure's own update cost — never O(n). *)
+      messages per level, §4), or 0 when a key with the same
+      {!Range_structure.S.canonical} form is already stored. Grows the
+      level hierarchy when n crosses a power of two. Host-side work is
+      O(log n) bookkeeping plus the structure's own update cost — never
+      O(n). Raises [Invalid_argument] on an inadmissible key, before
+      changing anything. *)
 
   val remove : t -> S.key -> int
-  (** Delete an element; returns the message cost. Raises if the underlying
-      structure does not support deletion. Shrinks the level hierarchy when
-      deletions lower ⌈log₂ n⌉, so a heavily shrunk set does not keep
-      paying linking messages and memory for dead levels. *)
+  (** Delete the stored element with the key's canonical form; returns the
+      message cost (0 if there is none). Raises if the underlying
+      structure does not support deletion, and [Invalid_argument] on an
+      inadmissible key. Shrinks the level hierarchy when deletions lower
+      ⌈log₂ n⌉, so a heavily shrunk set does not keep paying linking
+      messages and memory for dead levels. *)
 
   val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> S.key array -> int
   (** Bulk insertion: registers the whole batch (duplicates and
@@ -205,25 +215,20 @@ module Make (S : Range_structure.S) : sig
       return value is the number of keys actually inserted, not a message
       cost. Memory charges are maintained exactly as for {!insert}.
 
-      With [pool], the sweeps parallelize on {e two axes}. The few
-      coarse levels (0 up to about log₂ jobs) — which together carry
-      most of the keys — run sequentially in the caller with the pool
-      threaded {e into} each sweep, so the structure's own batch engine
-      (the 1-d sorted list's chunk-sharded splice) spreads one big
-      level's work over all domains. The many remaining fine levels then
-      fan out across the pool, one task per level dispatched
-      heaviest-first, each running its sweep sequentially (the pool is
-      not re-entrant, so the two phases never overlap on it). This is
-      safe and {e deterministic} because registration draws every
-      membership coin sequentially before any sweep starts, each level's
-      mutable state is touched by exactly one task, the intra-level
-      splice commits through a sequential merge pass whose output is a
-      pure function of (pre-state, batch), and memory charges commit as
-      netted per-host sums through the network's atomic counters — so
-      the final structure (including every chunk layout), the charged
-      memory of every host and the return value are bit-identical for
-      any jobs count; only the wall clock changes. Must not be called
-      from inside another batch on the same pool. *)
+      Every key of the batch is canonicalized before any id is drawn, so
+      an inadmissible key raises [Invalid_argument] and leaves the
+      hierarchy unchanged.
+
+      With [pool], the levels run as parallel tasks, one equal-weight
+      task per level: every level partitions the whole ground set, so
+      each level's sweep sees every key of the batch. This is safe and
+      {e deterministic} because registration draws every membership coin
+      sequentially before any sweep starts, each level's structures are
+      touched by exactly one task, and memory charges commit as netted
+      per-host sums through the network's atomic counters — so the final
+      structure, the charged memory of every host and the return value
+      are bit-identical for any jobs count; only the wall clock changes.
+      Must not be called from inside another batch on the same pool. *)
 
   val remove_batch : ?pool:Skipweb_util.Pool.t -> t -> S.key array -> int
   (** Bulk deletion, the mirror of {!insert_batch}: one sorted sweep per
@@ -238,11 +243,13 @@ module Make (S : Range_structure.S) : sig
       set-halving constant (E12's inner measurement). *)
 
   val check_invariants : t -> unit
-  (** Validates: every level partitions the ground set, structure sizes
-      match member sets, the live-id arena is consistent, the number of
-      levels matches ⌈log₂ n⌉, and the incrementally maintained memory
-      charges agree range-for-range with each structure's live ranges and
-      host-for-host with {!Network.memory} (the latter assumes the
-      hierarchy is the only structure charging its network, as in the
-      tests). Raises [Failure] on violation. *)
+  (** Validates: the key index maps every stored key's canonical form to
+      its id, every level partitions the ground set (each structure's
+      size equals the number of live ids with its membership prefix, and
+      no structure is kept for an empty set), the live-id arena is
+      consistent, the number of levels matches ⌈log₂ n⌉, no structure
+      lists a range id twice, and the per-host memory recomputed from
+      the structures' live ranges equals {!Network.memory} host for host
+      (this assumes the hierarchy is the only structure charging its
+      network, as in the tests). Raises [Failure] on violation. *)
 end

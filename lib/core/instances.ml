@@ -53,7 +53,8 @@ module Ints :
   let name = "sorted-list"
   let visit_label = "list-walk"
 
-  let build ?pool keys = { xs = O.of_array ?pool keys }
+  let canonical k = k
+  let build keys = { xs = O.of_array keys }
 
   let size t = O.length t.xs
   let storage_units t = (2 * O.length t.xs) + 1
@@ -82,19 +83,19 @@ module Ints :
   (* The dense-code deltas of a batch: g new keys over a set of n0 extend
      the code space by 2g codes — exactly the union of the per-key loop's
      [(2n+1; 2n+2)] steps as n runs n0 .. n0+g-1, already ascending.
-     Batches must reach the chunk-shard engine strictly increasing;
-     callers may hand over merely sorted (or unsorted) key runs, so both
-     entry points run the shared presort first. *)
-  let insert_batch ?pool t ks =
+     Batches must reach the batch splice strictly increasing; callers may
+     hand over merely sorted (or unsorted) key runs, so both entry points
+     run the shared presort first. *)
+  let insert_batch t ks =
     let n0 = O.length t.xs in
-    let added = O.insert_batch ?pool t.xs (Presort.sorted_distinct ?pool ~cmp:compare ks) in
+    let added = O.insert_batch t.xs (Presort.sorted_distinct ~cmp:compare ks) in
     if added = 0 then Range_structure.empty_delta
     else
       { Range_structure.added = List.init (2 * added) (fun i -> (2 * n0) + 1 + i); removed = [] }
 
-  let remove_batch ?pool t ks =
+  let remove_batch t ks =
     let n0 = O.length t.xs in
-    let gone = O.remove_batch ?pool t.xs (Presort.sorted_distinct ?pool ~cmp:compare ks) in
+    let gone = O.remove_batch t.xs (Presort.sorted_distinct ~cmp:compare ks) in
     if gone = 0 then Range_structure.empty_delta
     else
       let n1 = n0 - gone in
@@ -207,7 +208,15 @@ end) :
   let name = Printf.sprintf "quadtree-%dd" D.dim
   let visit_label = "cube-walk"
 
-  let build ?pool keys = Cqtree.build ?pool ~dim:D.dim keys
+  (* The cell of the 2^-30 grid the tree stores a point in, after
+     rejecting what the tree cannot hold: the wrong dimension, and NaN or
+     out-of-[0,1) coordinates ([Point.create]'s check), which
+     [Point.to_grid] would silently clamp into some cell. *)
+  let canonical p =
+    if Point.dim p <> D.dim then invalid_arg (name ^ ": dimension mismatch");
+    Point.of_grid (Point.to_grid (Point.create (Array.to_list p)))
+
+  let build keys = Cqtree.build ~dim:D.dim keys
 
   let size = Cqtree.size
   let storage_units = Cqtree.node_count
@@ -229,13 +238,13 @@ end) :
      would (commit in global batch position order), inserts only ever add
      and removes only ever drop, and ids are never reused — so the net
      delta is just the sorted id list. *)
-  let insert_batch ?pool t ks =
-    let _inserted, added = Cqtree.insert_batch ?pool t ks in
+  let insert_batch t ks =
+    let _inserted, added = Cqtree.insert_batch t ks in
     if added = [] then Range_structure.empty_delta
     else { Range_structure.added = List.sort compare added; removed = [] }
 
-  let remove_batch ?pool t ks =
-    let _removed, dropped = Cqtree.remove_batch ?pool t ks in
+  let remove_batch t ks =
+    let _removed, dropped = Cqtree.remove_batch t ks in
     if dropped = [] then Range_structure.empty_delta
     else { Range_structure.added = []; removed = List.sort compare dropped }
 
@@ -322,7 +331,8 @@ module Strings :
   let name = "trie"
   let visit_label = "trie-walk"
 
-  let build ?pool keys = Ctrie.build ?pool keys
+  let canonical k = k
+  let build keys = Ctrie.build keys
 
   let size = Ctrie.size
   let storage_units = Ctrie.node_count
@@ -343,13 +353,13 @@ module Strings :
   (* Same reasoning as the quadtree instance: trie batch commits number
      nodes in global batch position order, inserts only add and removes
      only drop, so the net delta is the sorted id list. *)
-  let insert_batch ?pool t ks =
-    let _inserted, added = Ctrie.insert_batch ?pool t ks in
+  let insert_batch t ks =
+    let _inserted, added = Ctrie.insert_batch t ks in
     if added = [] then Range_structure.empty_delta
     else { Range_structure.added = List.sort compare added; removed = [] }
 
-  let remove_batch ?pool t ks =
-    let _removed, dropped = Ctrie.remove_batch ?pool t ks in
+  let remove_batch t ks =
+    let _removed, dropped = Ctrie.remove_batch t ks in
     if dropped = [] then Range_structure.empty_delta
     else { Range_structure.added = []; removed = List.sort compare dropped }
 
@@ -414,31 +424,42 @@ module Segments :
   (* Array order on purpose (not {!Trapmap.of_sorted}): trapezoid ids —
      hence host placement — stay exactly those of the per-segment insert
      loop this build replaced. *)
-  let build ?pool keys = Trapmap.build ?pool keys
+  let canonical k = k
+  let build keys = Trapmap.build keys
 
   let size = Trapmap.segment_count
   let storage_units = Trapmap.trap_count
 
   let range_ids t = List.map Trapmap.trap_id (Trapmap.traps t)
 
+  (* The map rejects a segment that shares an endpoint abscissa with a
+     stored one, the segment itself included, so duplicates are dropped
+     here to keep the no-op contract. *)
   let insert t k =
-    let added, removed = Trapmap.insert_delta t k in
-    { Range_structure.added; removed }
+    if Trapmap.mem t k then Range_structure.empty_delta
+    else
+      let added, removed = Trapmap.insert_delta t k in
+      { Range_structure.added; removed }
 
   let remove _t _k =
     failwith "Segments.remove: trapezoidal-map deletion is out of scope (paper §4 amortizes insertions only)"
 
-  let insert_batch ?pool t ks =
-    let per_seg = Trapmap.insert_batch ?pool t ks in
+  let insert_batch t ks =
+    let seen = Hashtbl.create 16 in
+    let fresh =
+      List.filter
+        (fun k ->
+          if Trapmap.mem t k || Hashtbl.mem seen k then false
+          else (Hashtbl.replace seen k (); true))
+        (Array.to_list ks)
+    in
+    let per_seg = Trapmap.insert_batch t (Array.of_list fresh) in
     Range_structure.net_deltas
       (List.map (fun (added, removed) -> { Range_structure.added; removed }) per_seg)
 
-  let remove_batch ?pool t ks =
-    ignore pool;
-    (* sequential by design: deletions raise (out of scope for trapezoidal
-       maps), so the only batch that gets past the first key is the empty
-       one — nothing to fan out. *)
-    Range_structure.batch_of_fold remove t ks
+  (* Deletions raise (out of scope for trapezoidal maps), so the only
+     batch that gets past the first key is the empty one. *)
+  let remove_batch t ks = Range_structure.batch_of_fold remove t ks
 
   (* A point just above the segment's midpoint locates where the segment
      will land. *)

@@ -71,12 +71,8 @@ let net_deltas ds =
 (** Per-key fallback for structures without a native batch path: apply
     [op] key by key in array order and net the deltas. The mutations and
     ids are exactly the per-key loop's, only the reporting is batched.
-
-    {b Sequential by contract}: this helper never consults a pool — an
-    instance that routes its batch entry here runs the whole batch on the
-    calling domain, and must say so at the call site rather than accept a
-    [?pool] it silently discards. Use it only where a native batch engine
-    does not exist (or cannot exist, e.g. trapezoidal-map deletions). *)
+    Use it only where a native batch engine does not exist (or cannot
+    exist, e.g. trapezoidal-map deletions). *)
 let batch_of_fold op t keys =
   net_deltas (List.rev (Array.fold_left (fun acc k -> op t k :: acc) [] keys))
 
@@ -105,12 +101,19 @@ module type S = sig
       hierarchy descents. Must be a constant — it is attached to hops on
       the traced path only and must not cost allocation per hop. *)
 
-  val build : ?pool:Skipweb_util.Pool.t -> key array -> t
-  (** Canonical build; duplicates are ignored. [?pool] may be used to
-      parallelize host-local construction work; because the result is
-      canonical in the key {e set}, a pooled build must produce exactly
-      the structure the sequential build produces (instances without a
-      parallel path simply ignore the pool). *)
+  val canonical : key -> key
+  (** The form the hierarchy indexes a key by. Two keys the structure
+      stores as one (points in the same 2{^-30} grid cell) must have
+      structurally equal canonical forms; the identity where structural
+      equality already is the structure's equality. Raises
+      [Invalid_argument] on a key the structure cannot hold (a NaN or
+      out-of-\[0, 1) coordinate), so callers can reject it before
+      changing anything. *)
+
+  val build : key array -> t
+  (** Canonical build; duplicates are ignored. Runs on the calling
+      domain: the hierarchy parallelizes across levels, not inside one
+      level set. *)
 
   val size : t -> int
   (** Number of keys currently stored. *)
@@ -132,17 +135,14 @@ module type S = sig
       [Failure] for structures whose deletions are out of scope
       (trapezoidal maps, per §4's hedge). *)
 
-  val insert_batch : ?pool:Skipweb_util.Pool.t -> t -> key array -> range_delta
+  val insert_batch : t -> key array -> range_delta
   (** Add a whole sorted batch of keys (duplicates — of each other or of
       stored keys — are no-ops) and return the {e net} delta: exactly
       {!net_deltas} of the per-key deltas the one-at-a-time loop would
-      have produced, with both lists in ascending id order. Instances
-      with a native batch engine (the 1-d sorted list) shard the splice
-      over [?pool] workers; the net delta and the final structure must
-      still be bit-identical to the sequential per-key loop for any job
-      count. *)
+      have produced, with both lists in ascending id order. The final
+      structure must be bit-identical to the per-key loop's. *)
 
-  val remove_batch : ?pool:Skipweb_util.Pool.t -> t -> key array -> range_delta
+  val remove_batch : t -> key array -> range_delta
   (** Batch counterpart of {!remove}, same contract shape as
       {!insert_batch}; raises [Failure] on non-empty batches for
       structures whose deletions are out of scope. *)

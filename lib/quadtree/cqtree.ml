@@ -652,11 +652,19 @@ let remove_batch ?pool t points =
   if m = 0 then (0, [])
   else begin
     let gs = Array.map Point.to_grid points in
+    (* A cell listed twice is removed once, at its first position: the
+       per-key loop finds it already gone at every later one. *)
+    let seen = Hashtbl.create m in
+    let first =
+      Array.map (fun g -> if Hashtbl.mem seen g then false else (Hashtbl.replace seen g (); true)) gs
+    in
     let shards = make_shards t gs in
     let dropped = Array.make m [] in
     run_shards ?pool shards (fun si ->
         let sh = shards.(si) in
-        List.iter (fun i -> dropped.(i) <- shard_remove t sh gs.(i)) (List.rev sh.skeys));
+        List.iter
+          (fun i -> if first.(i) then dropped.(i) <- shard_remove t sh gs.(i))
+          (List.rev sh.skeys));
     (* Mirror of the insert commit: per-key segments in batch order, each
        newest-dropped-first, exactly as the per-key [remove_delta] log
        reports them. *)

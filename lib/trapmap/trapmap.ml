@@ -25,6 +25,8 @@ let empty () =
   { segs = []; alive = [ box ]; next_id = 1; xs = Hashtbl.create 16 }
 
 let segment_count t = List.length t.segs
+
+let mem t s = List.mem s t.segs
 let trap_count t = List.length t.alive
 let traps t = t.alive
 

@@ -76,6 +76,9 @@ val segment_count : t -> int
 val trap_count : t -> int
 val traps : t -> trap list
 
+val mem : t -> Segment.t -> bool
+(** Is this exact segment stored? O(segments). *)
+
 (** {1 Trapezoids} *)
 
 val trap_id : trap -> int

@@ -95,11 +95,10 @@ val parallel_for_tasks : t -> weights:int array -> (int -> unit) -> unit
     [i] of [weights], dispatching dynamically in descending [weights.(i)]
     order (ties broken by ascending index, so the claim order is
     deterministic even though the index-to-domain assignment is not).
-    Meant for small batches of coarse tasks with skewed costs — e.g. one
-    task per hierarchy level, where level 0 carries half the total work:
-    starting the heaviest task first bounds the makespan at the LPT
-    guarantee instead of whatever the static chunk boundaries happen to
-    hit. Weights only order the schedule; they never affect {e what} runs.
+    Meant for small batches of coarse tasks (e.g. one task per hierarchy
+    level); when their costs are skewed, starting the heaviest task
+    first bounds the makespan at the LPT guarantee instead of whatever
+    the static chunk boundaries happen to hit. Weights only order the schedule; they never affect {e what} runs.
     Tasks must be mutually independent and must not derive results from
     scheduling. Exception semantics match {!parallel_for}: every index is
     still claimed (a failed task never blocks the rest of the batch) and

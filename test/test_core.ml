@@ -907,6 +907,210 @@ let run_pinned_segments_churn () =
   checkil "pinned segments churn [ops; net; size]" [ 2492; 1592; 200 ]
     [ !ops; Network.total_messages net; HSeg.size h ]
 
+(* ------- admitted keys: one key per grid cell, inadmissible points rejected ------- *)
+
+(* Two points in the same 2^-30 grid cell are one quadtree leaf, so the
+   hierarchy must count them as one key: the second is a duplicate. *)
+let test_grid_cell_collision () =
+  let a = [| 0.5; 0.5 |] and a' = [| 0.5 +. 1e-12; 0.5 |] and c = [| 0.25; 0.75 |] in
+  let fresh () =
+    let net = Network.create ~hosts:64 in
+    (net, HP2.build ~net ~seed:7 [| a; a'; c |])
+  in
+  let memory net = List.init 64 (Network.memory net) in
+  let net, h = fresh () in
+  checki "colliding points are one key" 2 (HP2.size h);
+  HP2.check_invariants h;
+  checki "insert of a stored cell is a no-op" 0 (HP2.insert h a');
+  checki "batch skips a stored cell" 0 (HP2.insert_batch h [| a; a' |]);
+  let before = memory net in
+  List.iter
+    (fun bad ->
+      checkb "inadmissible point rejected" true
+        (try
+           ignore (HP2.insert h bad);
+           false
+         with Invalid_argument _ -> true);
+      checkb "inadmissible batch rejected" true
+        (try
+           ignore (HP2.insert_batch h [| [| 0.125; 0.125 |]; bad |]);
+           false
+         with Invalid_argument _ -> true))
+    [ [| nan; 0.5 |]; [| 0.5; 1.0 |]; [| -0.25; 0.5 |]; [| 0.5 |] ];
+  checki "rejections leave the size" 2 (HP2.size h);
+  checkb "rejections leave the charges" true (memory net = before);
+  HP2.check_invariants h;
+  List.iter
+    (fun victim ->
+      let _, h = fresh () in
+      checkb "either colliding point removes the key" true (HP2.remove h victim > 0);
+      checki "one key left" 1 (HP2.size h);
+      HP2.check_invariants h;
+      checki "removed cell is gone" 0 (HP2.remove h a))
+    [ a; a' ]
+
+(* Random insert / remove / batch sequences over a few base points, their
+   near-collisions (some in the same grid cell, some just across a cell
+   boundary), same-batch duplicates and inadmissible points, against a
+   model that holds one entry per occupied grid cell. *)
+let qcheck_hierarchy_grid_cells =
+  let module CS = Set.Make (struct
+    type t = int array
+
+    let compare = compare
+  end) in
+  let bases = [| [| 0.5; 0.5 |]; [| 0.25; 0.75 |]; [| 0.1; 0.9 |]; [| 0.7; 0.3 |] |] in
+  let point (b, v) =
+    let p = bases.(b) in
+    match v with
+    | 0 -> p
+    | 1 -> [| p.(0) +. 1e-12; p.(1) |]
+    | 2 -> [| p.(0); p.(1) -. 4e-13 |]
+    | 3 -> [| p.(0) +. 2e-13; p.(1) +. 3e-13 |]
+    | 4 -> [| nan; p.(1) |]
+    | 5 -> [| p.(0); 1.0 |]
+    | 6 -> [| -.p.(0); p.(1) |]
+    | _ -> [| p.(0); infinity |]
+  in
+  let admissible (_, v) = v < 4 in
+  let gen_key =
+    QCheck.Gen.(
+      pair (int_range 0 (Array.length bases - 1)) (frequency [ (12, int_range 0 3); (1, int_range 4 7) ]))
+  in
+  let gen_op = QCheck.Gen.(pair (int_range 0 3) (list_size (int_range 1 5) gen_key)) in
+  let print_op (kind, ks) =
+    Printf.sprintf "%s[%s]"
+      [| "insert"; "insert_batch"; "remove"; "remove_batch" |].(kind)
+      (String.concat ";" (List.map (fun (b, v) -> Printf.sprintf "%d/%d" b v) ks))
+  in
+  QCheck.Test.make ~name:"hierarchy keys = grid cells; inadmissible points rejected" ~count:60
+    (QCheck.make
+       ~print:QCheck.Print.(pair int (list print_op))
+       QCheck.Gen.(pair small_nat (list_size (int_range 1 25) gen_op)))
+    (fun (seed, ops) ->
+      let net = Network.create ~hosts:64 in
+      let h = HP2.build ~net ~seed [||] in
+      let model = ref CS.empty in
+      let memory () = List.init 64 (Network.memory net) in
+      List.for_all
+        (fun (kind, ks) ->
+          (* A single-key op takes the op's first key. *)
+          let ks = if kind = 0 || kind = 2 then [ List.hd ks ] else ks in
+          let pts = Array.of_list (List.map point ks) in
+          let ok =
+            if not (List.for_all admissible ks) then begin
+              let size = HP2.size h and mem = memory () in
+              let raised =
+                try
+                  (match kind with
+                  | 0 -> ignore (HP2.insert h pts.(0))
+                  | 1 -> ignore (HP2.insert_batch h pts)
+                  | 2 -> ignore (HP2.remove h pts.(0))
+                  | _ -> ignore (HP2.remove_batch h pts));
+                  false
+                with Invalid_argument _ -> true
+              in
+              raised && HP2.size h = size && memory () = mem
+            end
+            else begin
+              let cells = Array.map Point.to_grid pts in
+              match kind with
+              | 0 ->
+                  let fresh = not (CS.mem cells.(0) !model) in
+                  model := CS.add cells.(0) !model;
+                  HP2.insert h pts.(0) > 0 = fresh
+              | 1 ->
+                  let want = CS.cardinal (CS.diff (CS.of_list (Array.to_list cells)) !model) in
+                  model := Array.fold_left (fun m c -> CS.add c m) !model cells;
+                  HP2.insert_batch h pts = want
+              | 2 ->
+                  let present = CS.mem cells.(0) !model in
+                  model := CS.remove cells.(0) !model;
+                  HP2.remove h pts.(0) > 0 = present
+              | _ ->
+                  let want = CS.cardinal (CS.inter (CS.of_list (Array.to_list cells)) !model) in
+                  model := Array.fold_left (fun m c -> CS.remove c m) !model cells;
+                  HP2.remove_batch h pts = want
+            end
+          in
+          HP2.check_invariants h;
+          ok && HP2.size h = CS.cardinal !model)
+        ops)
+
+(* ------- the range-delta contract of every instance ------- *)
+
+(* [Range_structure]'s update contract, checked directly on each instance:
+   a delta's [added] ids are new, its [removed] ids were live, and the live
+   ranges afterwards are exactly before + added - removed, with no id
+   listed twice anywhere. The hierarchy charges memory from these deltas
+   alone, so any slack here would drift the per-host charges. *)
+module Delta_contract (S : Skipweb_core.Range_structure.S) = struct
+  let ids s = List.sort compare (S.range_ids s)
+
+  let rec distinct = function a :: (b :: _ as tl) -> a <> b && distinct tl | _ -> true
+
+  let exact before (d : Skipweb_core.Range_structure.range_delta) after =
+    let added = List.sort compare d.added and removed = List.sort compare d.removed in
+    distinct before && distinct after && distinct added && distinct removed
+    && List.for_all (fun id -> not (List.mem id before)) added
+    && List.for_all (fun id -> List.mem id before) removed
+    && after = List.merge compare (List.filter (fun id -> not (List.mem id removed)) before) added
+
+  (* [pool] is the key universe; each op is (kind, indices into it):
+     0 insert, 1 insert_batch, 2 remove, 3 remove_batch. Batches reach the
+     structure sorted, as the hierarchy hands them over. *)
+  let run pool ops =
+    let s = S.build (Array.sub pool 0 (Array.length pool / 4)) in
+    List.for_all
+      (fun (kind, idx) ->
+        (* Shrinking can empty an op's key list; such an op is a no-op. *)
+        idx = []
+        ||
+        let ks = Array.of_list (List.map (fun i -> pool.(i mod Array.length pool)) idx) in
+        Array.sort compare ks;
+        let before = ids s in
+        let d =
+          match kind with
+          | 0 -> S.insert s ks.(0)
+          | 1 -> S.insert_batch s ks
+          | 2 -> S.remove s ks.(0)
+          | _ -> S.remove_batch s ks
+        in
+        exact before d (ids s))
+      ops
+end
+
+let qcheck_delta_contract name ~kinds run =
+  QCheck.Test.make ~name:("range deltas exact: " ^ name) ~count:40
+    QCheck.(
+      pair small_nat
+        (list_of_size Gen.(int_range 1 30)
+           (pair (int_range 0 (kinds - 1)) (list_of_size Gen.(int_range 1 6) (int_range 0 39)))))
+    (fun (seed, ops) -> run seed ops)
+
+let qcheck_delta_contracts =
+  let module DInt = Delta_contract (I.Ints) in
+  let module DP2 = Delta_contract (I.Points2d) in
+  let module DStr = Delta_contract (I.Strings) in
+  let module DSeg = Delta_contract (I.Segments) in
+  [
+    qcheck_delta_contract "ints" ~kinds:4 (fun seed ops ->
+        DInt.run (W.distinct_ints ~seed ~n:40 ~bound:400) ops);
+    qcheck_delta_contract "points2d" ~kinds:4 (fun seed ops ->
+        DP2.run (W.uniform_points ~seed ~n:40 ~dim:2) ops);
+    qcheck_delta_contract "strings" ~kinds:4 (fun seed ops ->
+        (* Mixed lengths over a binary alphabet: many keys are prefixes
+           of others. *)
+        DStr.run
+          (Array.append
+             (W.random_strings ~seed ~n:10 ~alphabet:3 ~len:3)
+             (W.random_strings ~seed:(seed + 1) ~n:30 ~alphabet:2 ~len:6))
+          ops);
+    (* Trapezoidal maps support insertions only (paper §4). *)
+    qcheck_delta_contract "segments (inserts)" ~kinds:2 (fun seed ops ->
+        DSeg.run (W.disjoint_segments ~seed ~n:40) ops);
+  ]
+
 let suite =
   [
     Alcotest.test_case "hierarchy int build" `Quick test_hint_build;
@@ -956,7 +1160,10 @@ let suite =
     QCheck_alcotest.to_alcotest qcheck_blocked_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_hierarchy_int_matches_oracle;
     QCheck_alcotest.to_alcotest qcheck_hierarchy_churn;
+    Alcotest.test_case "grid-cell collision is one key" `Quick test_grid_cell_collision;
+    QCheck_alcotest.to_alcotest qcheck_hierarchy_grid_cells;
   ]
+  @ List.map QCheck_alcotest.to_alcotest qcheck_delta_contracts
 
 
 (* ------- mixed-workload soak: interleaved queries and updates ------- *)
