@@ -6,8 +6,25 @@ module Prng = Skipweb_util.Prng
 module L = Skipweb_linklist.Linklist
 module O = Skipweb_util.Ordseq
 
+(* One basic block and everything a cache copy of its group needs. A
+   block's {e group} is the block plus every cone interval it drags
+   along; the group is what the read cache copies as a whole. *)
+type block = {
+  j : int;  (* index within its basic set, in code order *)
+  owners : Network.host array;  (* primary first *)
+  mutable units : int;  (* ranges one copy of the group stores; set by the rebuild's cone scan *)
+  mutable cache : Network.host array;
+      (* the group's k - 1 cache hosts; [||] when the group is uncached *)
+}
+
+(* A cone interval: the codes [lo, hi] of one non-basic set, stored with
+   the basic block below it. *)
+type cone = { lo : int; hi : int; block : block }
+
 (* Membership bits are derived from the key itself, so an element keeps its
-   level path across rebuilds. *)
+   level path across rebuilds. Every level-indexed array has [top + 1]
+   rows; row [l] has one slot per prefix, [2^l] of them, and an empty set
+   is [[||]]. *)
 type t = {
   net : Network.t;
   vecs : Membership.t;
@@ -17,26 +34,25 @@ type t = {
   mutable bsize : int;  (* ranges per block at basic levels *)
   keys : O.t;  (* the ground set, chunked sorted sequence *)
   mutable top : int;  (* K = ceil(log2 n) *)
-  sets : (int * int, int array) Hashtbl.t;  (* (level, prefix) -> sorted keys *)
-  blocks : (int * int * int, Network.host array) Hashtbl.t;
-      (* basic (level, prefix, block) -> owners, primary first *)
-  replicas : (int * int, (int * int * Network.host array * int) list) Hashtbl.t;
-      (* non-basic (level, prefix) -> cone intervals
-         (code_lo, code_hi, owners, block index in the basic group below) *)
-  (* Read-path level cache: a basic block group — the block plus every
-     cone interval it drags along — whose basic level is below
+  mutable sets : int array array array;  (* level -> prefix -> sorted keys *)
+  mutable blocks : block array array array;
+      (* basic level -> prefix -> blocks by index; [||] rows at non-basic levels *)
+  mutable cones : cone array array array;
+      (* non-basic level -> prefix -> cone intervals in descending block
+         index, so [lo] and [hi] are non-increasing along the array and
+         [hosts_of] finds the covering slice by binary search; [||] rows at
+         basic levels *)
+  (* Read-path level cache: a basic block group whose basic level is below
      [cache_levels] keeps [cache_replicas - 1] whole extra copies on
      distinct live hosts, drawn by a pure collision-skipping hash at
-     rebuild time. Caching whole groups (not individual levels) preserves
-     the co-location that gives Blocked1d its O(log n / log log n) bound:
-     a query reading cache copy s of a group still walks the entire group
-     on one host. *)
+     rebuild time and kept in the block's [cache] field. Caching whole
+     groups (not individual levels) preserves the co-location that gives
+     Blocked1d its O(log n / log log n) bound: a query reading cache copy s
+     of a group still walks the entire group on one host. *)
   mutable cache_levels : int;  (* groups with basic level < this are cached *)
   mutable cache_replicas : int;  (* k: total read copies per cached group *)
   cache_seed : int;
-  cache : (int * int * int, Network.host array) Hashtbl.t;
-      (* cached basic (level, prefix, block) -> the k - 1 cache hosts *)
-  host_mem : (Network.host, int) Hashtbl.t;  (* what we charged, for rebuilds *)
+  host_mem : int array;  (* what we charged per host, for rebuilds *)
   mutable pool : Skipweb_util.Pool.t option;  (* fans rebuild phases out when set *)
 }
 
@@ -49,7 +65,10 @@ let block_size t = t.bsize
 let basic_levels t =
   List.filter (fun l -> l mod t.stride = 0) (List.init (t.top + 1) Fun.id)
 
-let prefix t key level = Membership.prefix t.vecs ~id:key ~len:level
+(* A key's prefix at the top level. Its level-l prefix is
+   [path lsr (t.top - l)], so one path (one hash draw per level) serves
+   every level of a descent or a rebuild. *)
+let path t key = Membership.prefix t.vecs ~id:key ~len:t.top
 
 let required_top n =
   let rec go k = if 1 lsl k >= max 1 n then k else go (k + 1) in
@@ -57,42 +76,41 @@ let required_top n =
 
 let charge t host units =
   Network.charge_memory t.net host units;
-  Hashtbl.replace t.host_mem host ((try Hashtbl.find t.host_mem host with Not_found -> 0) + units)
+  t.host_mem.(host) <- t.host_mem.(host) + units
 
 let uncharge_all t =
-  Hashtbl.iter (fun host units -> if units <> 0 then Network.charge_memory t.net host (-units)) t.host_mem;
-  Hashtbl.reset t.host_mem
+  Array.iteri
+    (fun host units -> if units <> 0 then Network.charge_memory t.net host (-units))
+    t.host_mem;
+  Array.fill t.host_mem 0 (Array.length t.host_mem) 0
+
+(* [f level b arr] for every non-empty set. *)
+let iter_sets t f =
+  Array.iteri
+    (fun level row -> Array.iteri (fun b arr -> if Array.length arr > 0 then f level b arr) row)
+    t.sets
+
+(* [f level b blk] for every block. *)
+let iter_blocks t f =
+  Array.iteri
+    (fun level row -> Array.iteri (fun b blks -> Array.iter (f level b) blks) row)
+    t.blocks
+
+(* First index in [0, n) where the monotone predicate [p] turns true, or
+   [n] if it never does. *)
+let first_index n p =
+  let lo = ref 0 and hi = ref n in
+  while !lo < !hi do
+    let mid = (!lo + !hi) lsr 1 in
+    if p mid then hi := mid else lo := mid + 1
+  done;
+  !lo
+
+(* The code interval of block [j] within its basic set [arr]. *)
+let block_codes t arr j =
+  (j * t.bsize, min (L.num_ranges arr - 1) (((j + 1) * t.bsize) - 1))
 
 (* ------- the read-path group cache ------- *)
-
-(* Ranges the block [(level, b, j)] itself stores (0 when the block fell
-   off the end after a shrink). *)
-let block_units t level b j =
-  match Hashtbl.find_opt t.sets (level, b) with
-  | None -> 0
-  | Some arr ->
-      let codes = L.num_ranges arr in
-      let clo = j * t.bsize and chi = min (codes - 1) (((j + 1) * t.bsize) - 1) in
-      if clo <= chi then chi - clo + 1 else 0
-
-(* A cone interval's basic group: the basic level below it and the block
-   prefix it fans out from. *)
-let cone_group t lvl cb = (lvl - (lvl mod t.stride), cb lsr (lvl mod t.stride))
-
-(* Stored units per basic group (block plus its cone intervals) — what one
-   cache copy of the group costs. *)
-let group_units_table t =
-  let units = Hashtbl.create 64 in
-  let add key u =
-    Hashtbl.replace units key (u + try Hashtbl.find units key with Not_found -> 0)
-  in
-  Hashtbl.iter (fun (level, b, j) _ -> add (level, b, j) (block_units t level b j)) t.blocks;
-  Hashtbl.iter
-    (fun (lvl, cb) lst ->
-      let base, pb = cone_group t lvl cb in
-      List.iter (fun (clo, chi, _, j) -> add (base, pb, j) (chi - clo + 1)) lst)
-    t.replicas;
-  units
 
 (* The k - 1 cache hosts of one group: pure hash draws salted by the cache
    slot, skipping dead hosts and hosts already holding a copy (an owner or
@@ -122,29 +140,20 @@ let draw_cache t ~owners level b j k =
 (* Charge (or release, [sign = -1]) every cache copy of every cached
    group. *)
 let charge_cache t ~sign =
-  if Hashtbl.length t.cache > 0 then begin
-    let units = group_units_table t in
-    Hashtbl.iter
-      (fun key arr ->
-        let u = try Hashtbl.find units key with Not_found -> 0 in
-        if u > 0 then Array.iter (fun h -> charge t h (sign * u)) arr)
-      t.cache
-  end
+  iter_blocks t (fun _ _ blk -> Array.iter (fun h -> charge t h (sign * blk.units)) blk.cache)
 
-(* (Re)derive the cache table from the current block/cone maps and charge
-   it: every eligible group (basic level below the cache window, active
-   cache) gets its k - 1 copies. Iteration order over the hashtable is
-   irrelevant — draws are pure per group and charges are sums. *)
+(* (Re)derive every block's cache copies from the current block maps and
+   charge them: every eligible group (basic level below the cache window,
+   active cache) gets its k - 1 copies, every other group none. Draws are
+   pure per group and charges are sums, so iteration order is
+   irrelevant. *)
 let apply_cache t =
-  Hashtbl.reset t.cache;
-  if t.cache_replicas > 1 then begin
-    Hashtbl.iter
-      (fun (level, b, j) owners ->
-        if level < t.cache_levels then
-          Hashtbl.replace t.cache (level, b, j) (draw_cache t ~owners level b j t.cache_replicas))
-      t.blocks;
-    charge_cache t ~sign:1
-  end
+  iter_blocks t (fun level b blk ->
+      blk.cache <-
+        (if t.cache_replicas > 1 && level < t.cache_levels then
+           draw_cache t ~owners:blk.owners level b blk.j t.cache_replicas
+         else [||]));
+  charge_cache t ~sign:1
 
 (* Key-interval endpoints of a code interval within a set array. *)
 let interval_span arr clo chi =
@@ -184,52 +193,46 @@ let for_items t n f =
   | Some p -> Skipweb_util.Pool.parallel_for_tasks p ~weights:(Array.make (max n 1) 1) f
 
 (* A rebuild parallelizes in two fan-out phases with sequential commits in
-   between, so the result — including the *order* of every cone-replica
-   list, which [hosts_of] reads head-first and therefore shows up in
-   message counts — is bit-identical to the sequential rebuild:
+   between, so the result — including the *order* of every cone array,
+   whose covering slice [hosts_of] reads head-first and which therefore
+   shows up in message counts — is bit-identical to the sequential
+   rebuild:
 
-     1. Level sets: one task per level, each bucketing the (read-only)
-        ground set by its own level's prefixes into a private slot;
-        committed into [t.sets] afterwards.
+     1. Level sets: every key's membership path is drawn once; then one
+        task per level counting-sorts the (sorted) ground set by that
+        level's prefixes into the level's own row.
      2. Blocks and cones: block boundaries and their round-robin owners
         depend only on code counts, so they are enumerated sequentially
         first (freezing the block -> host map); the expensive per-block
-        cone scans then fan out, each buffering its charges and replica
-        intervals in chronological order into its own slot, and the
-        buffers are committed sequentially in the original block order. *)
+        cone scans then fan out, each writing its own slot, and the
+        intervals are committed sequentially in block order. *)
 let rebuild t =
   uncharge_all t;
-  Hashtbl.reset t.sets;
-  Hashtbl.reset t.blocks;
-  Hashtbl.reset t.replicas;
-  Hashtbl.reset t.cache;
   let n = size t in
-  t.top <- required_top n;
+  let top = required_top n in
+  t.top <- top;
   (* Level sets along every element's membership path. The ground set is
-     iterated in key order, so each bucket fills already sorted — no
-     per-bucket re-sort. *)
-  let level_sets = Array.make (t.top + 1) [] in
-  for_items t (t.top + 1) (fun level ->
-      let buckets = Hashtbl.create 64 in
-      O.iter
-        (fun k ->
-          let b = prefix t k level in
-          match Hashtbl.find_opt buckets b with
-          | Some (arr, len) ->
-              if !len = Array.length !arr then begin
-                let bigger = Array.make (2 * !len) 0 in
-                Array.blit !arr 0 bigger 0 !len;
-                arr := bigger
-              end;
-              !arr.(!len) <- k;
-              incr len
-          | None -> Hashtbl.replace buckets b (ref (Array.make 8 k), ref 1))
-        t.keys;
-      level_sets.(level) <-
-        Hashtbl.fold (fun b (arr, len) acc -> (b, Array.sub !arr 0 !len) :: acc) buckets []);
-  Array.iteri
-    (fun level sets -> List.iter (fun (b, arr) -> Hashtbl.replace t.sets (level, b) arr) sets)
-    level_sets;
+     in key order, so each set fills already sorted. *)
+  let keys = O.to_array t.keys in
+  let paths = Array.map (path t) keys in
+  t.sets <- Array.make (top + 1) [||];
+  for_items t (top + 1) (fun level ->
+      let shift = top - level in
+      let fill = Array.make (1 lsl level) 0 in
+      Array.iter
+        (fun p ->
+          let b = p lsr shift in
+          fill.(b) <- fill.(b) + 1)
+        paths;
+      let row = Array.map (fun c -> if c = 0 then [||] else Array.make c 0) fill in
+      Array.fill fill 0 (Array.length fill) 0;
+      Array.iteri
+        (fun i p ->
+          let b = p lsr shift in
+          row.(b).(fill.(b)) <- keys.(i);
+          fill.(b) <- fill.(b) + 1)
+        paths;
+      t.sets.(level) <- row);
   (* Size blocks so there is about one block per *live* host (each block
      drags an O(M)-sized cone along, so several blocks per host would
      overshoot the memory budget). Placement only ever targets live hosts:
@@ -241,87 +244,81 @@ let rebuild t =
   in
   let nlive = Array.length live in
   let reps = min t.r nlive in
-  let total_basic_codes =
-    Hashtbl.fold
-      (fun (l, _) arr acc -> if l mod t.stride = 0 then acc + L.num_ranges arr else acc)
-      t.sets 0
-  in
-  t.bsize <- max (max 2 (t.m / 4)) ((total_basic_codes + nlive - 1) / nlive);
-  (* Enumerate every block in the canonical (level, sorted prefix, block)
-     order, assigning owners from the round-robin counter: replica slot s
-     of block [idx] is the live host [idx + s] positions along, so the r
+  let total_basic_codes = ref 0 in
+  iter_sets t (fun l _ arr ->
+      if l mod t.stride = 0 then total_basic_codes := !total_basic_codes + L.num_ranges arr);
+  t.bsize <- max (max 2 (t.m / 4)) ((!total_basic_codes + nlive - 1) / nlive);
+  (* Enumerate every block in the canonical (level, prefix, block) order,
+     assigning owners from the round-robin counter: replica slot s of
+     block [idx] is the live host [idx + s] positions along, so the r
      copies of a block always sit on r distinct live hosts (r <= nlive). *)
-  let blocks_rev = ref [] in
-  let nblocks_total = ref 0 in
+  t.blocks <-
+    Array.mapi
+      (fun level row -> if level mod t.stride = 0 then Array.make (Array.length row) [||] else [||])
+      t.sets;
   let counter = ref 0 in
-  for level = 0 to t.top do
-    if level mod t.stride = 0 then begin
-      let sets_here =
-        Hashtbl.fold (fun (l, b) arr acc -> if l = level then (b, arr) :: acc else acc) t.sets []
-        |> List.sort compare
-      in
-      List.iter
-        (fun (b, arr) ->
-          let codes = L.num_ranges arr in
-          let nblocks = (codes + t.bsize - 1) / t.bsize in
-          for j = 0 to nblocks - 1 do
-            let idx = !counter mod nlive in
-            incr counter;
-            let owners = Array.init reps (fun s -> live.((idx + s) mod nlive)) in
-            Hashtbl.replace t.blocks (level, b, j) owners;
-            blocks_rev := (level, b, arr, j, owners) :: !blocks_rev;
-            incr nblocks_total
-          done)
-        sets_here
-    end
+  let pending = ref [] in
+  for level = 0 to top do
+    if level mod t.stride = 0 then
+      Array.iteri
+        (fun b arr ->
+          if Array.length arr > 0 then
+            t.blocks.(level).(b) <-
+              Array.init
+                ((L.num_ranges arr + t.bsize - 1) / t.bsize)
+                (fun j ->
+                  let idx = !counter mod nlive in
+                  incr counter;
+                  let owners = Array.init reps (fun s -> live.((idx + s) mod nlive)) in
+                  let blk = { j; owners; units = 0; cache = [||] } in
+                  pending := (level, b, blk) :: !pending;
+                  blk))
+        t.sets.(level)
   done;
-  let block_arr = Array.of_list (List.rev !blocks_rev) in
+  let block_arr = Array.of_list (List.rev !pending) in
   (* The cone of each block: for each non-basic level above, every
      descendant set's ranges touching the block's key span. (This is the
      conflict closure clamped to the block span; clamping keeps per-host
      space O(M) while every range stays covered by the block whose span it
-     touches.) Pure reads of [t.sets]; charges and replica intervals are
-     buffered chronologically per block. *)
-  let results = Array.make !nblocks_total ([], []) in
-  for_items t !nblocks_total (fun i ->
-      let level, b, arr, j, owners = block_arr.(i) in
-      let codes = L.num_ranges arr in
-      let clo = j * t.bsize and chi = min (codes - 1) (((j + 1) * t.bsize) - 1) in
-      let charges = ref [] in
-      let charge_owners units = Array.iter (fun h -> charges := (h, units) :: !charges) owners in
-      charge_owners (chi - clo + 1);
+     touches.) Pure reads of [t.sets]; each task writes only its own
+     block's [units] and its own result slot. *)
+  let results = Array.make (Array.length block_arr) [] in
+  for_items t (Array.length block_arr) (fun i ->
+      let level, b, blk = block_arr.(i) in
+      let arr = t.sets.(level).(b) in
+      let clo, chi = block_codes t arr blk.j in
+      let units = ref (chi - clo + 1) in
       let cones = ref [] in
       let span_block = interval_span arr clo chi in
       let lvl = ref (level + 1) in
-      while !lvl <= t.top && !lvl mod t.stride <> 0 do
+      while !lvl <= top && !lvl mod t.stride <> 0 do
         let fan = 1 lsl (!lvl - level) in
         for suffix = 0 to fan - 1 do
           let cb = (b * fan) + suffix in
-          match Hashtbl.find_opt t.sets (!lvl, cb) with
-          | None -> ()
-          | Some child_arr ->
-              let clo', chi' = codes_touching child_arr span_block in
-              if clo' <= chi' then begin
-                cones := ((!lvl, cb), (clo', chi', owners, j)) :: !cones;
-                charge_owners (chi' - clo' + 1)
-              end
+          let child_arr = t.sets.(!lvl).(cb) in
+          if Array.length child_arr > 0 then begin
+            let clo', chi' = codes_touching child_arr span_block in
+            if clo' <= chi' then begin
+              cones := (!lvl, cb, { lo = clo'; hi = chi'; block = blk }) :: !cones;
+              units := !units + (chi' - clo' + 1)
+            end
+          end
         done;
         incr lvl
       done;
-      results.(i) <- (List.rev !charges, List.rev !cones));
-  (* Sequential commit in block order reproduces the sequential rebuild's
-     exact charge sequence and replica-list construction order. *)
-  let cone_replicas = Hashtbl.create 64 in
-  Array.iter
-    (fun (charges, reps) ->
-      List.iter (fun (host, units) -> charge t host units) charges;
-      List.iter
-        (fun (key, entry) ->
-          Hashtbl.replace cone_replicas key
-            (entry :: (try Hashtbl.find cone_replicas key with Not_found -> [])))
-        reps)
+      blk.units <- !units;
+      results.(i) <- !cones);
+  (* Sequential commit in block order: a block adds at most one interval
+     per (level, prefix), and each is prepended, so every cone array ends
+     up in descending block index. *)
+  let acc = Array.map (fun row -> Array.make (Array.length row) []) t.sets in
+  Array.iteri
+    (fun i cones ->
+      let _, _, blk = block_arr.(i) in
+      Array.iter (fun h -> charge t h blk.units) blk.owners;
+      List.iter (fun (lvl, cb, cone) -> acc.(lvl).(cb) <- cone :: acc.(lvl).(cb)) cones)
     results;
-  Hashtbl.iter (fun key lst -> Hashtbl.replace t.replicas key lst) cone_replicas;
+  t.cones <- Array.map (Array.map Array.of_list) acc;
   (* Cache copies ride on the finished block/cone maps: pure re-derivation,
      so an update-triggered rebuild and [set_cache] always agree. *)
   apply_cache t
@@ -351,14 +348,13 @@ let build ~net ~seed ~m ?(r = 1) ?(cache_levels = 0) ?(cache_replicas = 1) ?pool
       bsize = max 2 (m / 4);  (* refined by rebuild *)
       keys = O.of_sorted_array xs;
       top = 0;
-      sets = Hashtbl.create 64;
-      blocks = Hashtbl.create 64;
-      replicas = Hashtbl.create 64;
+      sets = [||];
+      blocks = [||];
+      cones = [||];
       cache_levels;
       cache_replicas;
       cache_seed = seed + 0xca4e;
-      cache = Hashtbl.create 64;
-      host_mem = Hashtbl.create 64;
+      host_mem = Array.make (Network.host_count net) 0;
       pool;
     }
   in
@@ -383,13 +379,16 @@ let set_cache t ~levels ~k =
   t.cache_replicas <- k;
   apply_cache t
 
-let total_storage t = Hashtbl.fold (fun _ arr acc -> acc + L.num_ranges arr) t.sets 0
+let total_storage t =
+  let total = ref 0 in
+  iter_sets t (fun _ _ arr -> total := !total + L.num_ranges arr);
+  !total
 
-let replicated_storage t = Hashtbl.fold (fun _ units acc -> acc + units) t.host_mem 0
+let replicated_storage t = Array.fold_left ( + ) 0 t.host_mem
 
-let max_host_memory t = Hashtbl.fold (fun _ units acc -> max acc units) t.host_mem 0
+let max_host_memory t = Array.fold_left max 0 t.host_mem
 
-(* The routing representative of one replica list: its first live owner —
+(* The routing representative of one set of owners: its first live owner —
    the primary when nobody is dead — or the dead primary when every copy
    is gone, so the session hop raises [Host_dead] instead of silently
    reading a lost range. *)
@@ -398,18 +397,15 @@ let entry_rep t owners =
   | Some h -> h
   | None -> owners.(0)
 
-(* The representative for a query reading cache slot [slot] of an entry's
-   basic group: the group's cache copy when one exists and is live, the
-   first live owner otherwise. Slot 0 — and any group outside the cache
-   window — is always the owner path, preserving the historical routing
+(* The representative for a query reading cache slot [slot] of a block's
+   group: the group's cache copy when one exists and is live, the first
+   live owner otherwise. Slot 0 — and any group outside the cache window —
+   is always the owner path, preserving the historical routing
    byte-for-byte. *)
-let entry_rep_slot t ~slot ~group owners =
-  if slot >= 1 then
-    match Hashtbl.find_opt t.cache group with
-    | Some arr when slot - 1 < Array.length arr && Network.alive t.net arr.(slot - 1) ->
-        arr.(slot - 1)
-    | Some _ | None -> entry_rep t owners
-  else entry_rep t owners
+let entry_rep_slot t ~slot blk =
+  if slot >= 1 && slot - 1 < Array.length blk.cache && Network.alive t.net blk.cache.(slot - 1)
+  then blk.cache.(slot - 1)
+  else entry_rep t blk.owners
 
 (* Which cache copy a query from [origin] reads for groups based at basic
    level [base]: pure in (cache_seed, origin, base) — bit-identical runs
@@ -423,27 +419,28 @@ let slot_for t origin base =
   else 0
 
 (* One representative per covering entry (block, or cone interval) of the
-   range with this code. With nobody dead and [slot = 0] every
-   representative is that entry's primary, so the list — and hence every
-   routing decision made over it — is identical to the unreplicated,
-   uncached one for any [r]. *)
+   range with this code, in array order. A cone array runs in descending
+   block index with non-increasing [lo] and [hi], so the intervals
+   covering [code] are the slice from the first [lo <= code] up to the
+   first [hi < code]. With nobody dead and [slot = 0] every representative
+   is that entry's primary, so the list — and hence every routing decision
+   made over it — is identical to the unreplicated, uncached one for any
+   [r]. *)
 let hosts_of ?(slot = 0) t level b code =
-  if level mod t.stride = 0 then
-    let j = code / t.bsize in
-    [ entry_rep_slot t ~slot ~group:(level, b, j) (Hashtbl.find t.blocks (level, b, j)) ]
+  if level mod t.stride = 0 then [ entry_rep_slot t ~slot t.blocks.(level).(b).(code / t.bsize) ]
   else
-    let base, pb = cone_group t level b in
-    match Hashtbl.find_opt t.replicas (level, b) with
-    | None -> []
-    | Some lst ->
-        List.concat_map
-          (fun (lo, hi, hs, j) ->
-            if lo <= code && code <= hi then [ entry_rep_slot t ~slot ~group:(base, pb, j) hs ]
-            else [])
-          lst
+    let cones = t.cones.(level).(b) in
+    let n = Array.length cones in
+    let first = first_index n (fun i -> cones.(i).lo <= code) in
+    let past = first_index n (fun i -> cones.(i).hi < code) in
+    let rec collect i acc =
+      if i < first then acc else collect (i - 1) (entry_rep_slot t ~slot cones.(i).block :: acc)
+    in
+    collect (past - 1) []
 
-(* Where a walk lands for this replica list: the first live owner, else the
-   head so the session hop raises [Host_dead] (every copy is gone). *)
+(* Where a walk lands among the representatives [hosts_of] returned: the
+   first live one, else the head so the session hop raises [Host_dead]
+   (every copy is gone). *)
 let route_of t hs =
   match List.find_opt (fun h -> Network.alive t.net h) hs with
   | Some h -> h
@@ -459,32 +456,28 @@ type search_result = {
 (* The owner of the block that q's own position falls into at the next
    basic level at or below [level] along the origin's set path — the host
    a descending query will want to be on. *)
-let preferred_host t origin level q =
+let preferred_host t ~origin ~path level q =
   let base = level - (level mod t.stride) in
-  let b = prefix t origin base in
-  match Hashtbl.find_opt t.sets (base, b) with
-  | None -> None
-  | Some arr -> (
-      let code = L.encode (L.locate arr q) in
-      let j = code / t.bsize in
-      match Hashtbl.find_opt t.blocks (base, b, j) with
-      | None -> None
-      | Some owners ->
-          (* The origin's read copy of the preferred block: its cache copy
-             when the group is cached for this origin, else the first live
-             owner — the primary when nobody is dead, preserving the
-             historical routing exactly. *)
-          Some (entry_rep_slot t ~slot:(slot_for t origin base) ~group:(base, b, j) owners))
+  let b = path lsr (t.top - base) in
+  let j = L.encode (L.locate t.sets.(base).(b) q) / t.bsize in
+  (* The origin's read copy of the preferred block: its cache copy when
+     the group is cached for this origin, else the first live owner — the
+     primary when nobody is dead, preserving the historical routing
+     exactly. *)
+  entry_rep_slot t ~slot:(slot_for t origin base) t.blocks.(base).(b).(j)
 
 (* Traced descents open one leveled span per level, noting whether the
    level's range lives in a block or a cone and how many replicas cover
    it; hops are labeled accordingly. All trace work is guarded, so an
    untraced query runs the original code path exactly. *)
 let query_from ?trace t origin q =
-  let b_top = prefix t origin t.top in
-  let arr_top = Hashtbl.find t.sets (t.top, b_top) in
-  let code_top = L.encode (L.locate arr_top q) in
+  let path = path t origin in
+  let code_at level =
+    let b = path lsr (t.top - level) in
+    (b, L.encode (L.locate t.sets.(level).(b) q))
+  in
   let slot_at level = slot_for t origin (level - (level mod t.stride)) in
+  let b_top, code_top = code_at t.top in
   let initial_hosts = hosts_of ~slot:(slot_at t.top) t t.top b_top code_top in
   let pick level hosts current =
     (* Route among the covering entries whose representative is live; with
@@ -497,19 +490,16 @@ let query_from ?trace t origin q =
     | [ h ] -> h
     | h :: _ as hs ->
         if List.mem current hs then current
-        else (
-          match preferred_host t origin level q with
-          | Some p when List.mem p hs -> p
-          | Some _ | None -> h)
+        else
+          let p = preferred_host t ~origin ~path level q in
+          if List.mem p hs then p else h
   in
   let start = match initial_hosts with [] -> 0 | hs -> route_of t hs in
   let session = Network.start ?trace t.net start in
   let rec descend level =
     if level >= 0 then begin
       let basic = level mod t.stride = 0 in
-      let b = prefix t origin level in
-      let arr = Hashtbl.find t.sets (level, b) in
-      let code = L.encode (L.locate arr q) in
+      let b, code = code_at level in
       let hs = hosts_of ~slot:(slot_at level) t level b code in
       let target = pick level hs (Network.current session) in
       (match trace with
@@ -644,67 +634,100 @@ let delete_batch ?pool t ks =
 
 let check_invariants t =
   let n = size t in
-  for level = 0 to t.top do
-    (* The level's sets partition the ground set. *)
-    let total =
-      Hashtbl.fold (fun (l, _) arr acc -> if l = level then acc + Array.length arr else acc) t.sets 0
-    in
-    if total <> n then failwith "Blocked1d: level sets do not partition the keys";
-    Hashtbl.iter
-      (fun (l, b) arr ->
-        if l = level then
+  let keys = O.to_array t.keys in
+  let paths = Array.map (path t) keys in
+  if Array.length t.sets <> t.top + 1 then failwith "Blocked1d: level table has the wrong height";
+  Array.iteri
+    (fun level row ->
+      (* The level's sets partition the ground set, each key in the set its
+         own path names. *)
+      if Array.length row <> 1 lsl level then failwith "Blocked1d: level row has the wrong width";
+      let total = Array.fold_left (fun acc arr -> acc + Array.length arr) 0 row in
+      if total <> n then failwith "Blocked1d: level sets do not partition the keys";
+      Array.iteri
+        (fun b arr ->
           Array.iter
-            (fun k -> if prefix t k level <> b then failwith "Blocked1d: key in wrong set")
+            (fun k ->
+              let i = O.array_lower_bound keys k in
+              if i = n || keys.(i) <> k || paths.(i) lsr (t.top - level) <> b then
+                failwith "Blocked1d: key in wrong set")
             arr)
-      t.sets
-  done;
+        row)
+    t.sets;
+  (* Blocks tile every basic set; non-basic levels hold none. *)
+  Array.iteri
+    (fun level row ->
+      Array.iteri
+        (fun b blks ->
+          let arr = t.sets.(level).(b) in
+          let expect =
+            if level mod t.stride <> 0 || Array.length arr = 0 then 0
+            else (L.num_ranges arr + t.bsize - 1) / t.bsize
+          in
+          if Array.length blks <> expect then
+            failwith (Printf.sprintf "Blocked1d: level %d set %d has the wrong blocks" level b);
+          Array.iteri
+            (fun j blk -> if blk.j <> j then failwith "Blocked1d: block out of place")
+            blks)
+        row)
+    t.blocks;
+  (* [hosts_of] binary-searches each cone array for the slice covering a
+     code; that needs block indices strictly decreasing and [lo], [hi]
+     non-increasing along the array. *)
+  Array.iteri
+    (fun level row ->
+      Array.iteri
+        (fun b cones ->
+          Array.iteri
+            (fun i c ->
+              if c.lo > c.hi then failwith "Blocked1d: empty cone interval";
+              if i > 0 then begin
+                let p = cones.(i - 1) in
+                if c.block.j >= p.block.j || c.lo > p.lo || c.hi > p.hi then
+                  failwith
+                    (Printf.sprintf
+                       "Blocked1d: cone array at level %d, set %d, out of order at %d (blocks must \
+                        strictly decrease, lo and hi must not increase)"
+                       level b i)
+              end)
+            cones)
+        row)
+    t.cones;
   (* Every range of every level is stored somewhere. *)
-  Hashtbl.iter
-    (fun (level, b) arr ->
+  iter_sets t (fun level b arr ->
       for code = 0 to L.num_ranges arr - 1 do
         match hosts_of t level b code with
         | [] -> failwith (Printf.sprintf "Blocked1d: range uncovered at level %d" level)
         | _ :: _ -> ()
-      done)
-    t.sets;
+      done);
   (* Cache coverage: exactly the eligible groups are cached, each with
-     k - 1 copies pairwise distinct from each other and from the owners.
-     (Liveness is not checked — like owners, cache placements go stale
-     between a kill and the next repair/rebuild.) *)
-  Hashtbl.iter
-    (fun (level, b, j) owners ->
-      match Hashtbl.find_opt t.cache (level, b, j) with
-      | None ->
-          if t.cache_replicas > 1 && level < t.cache_levels then
-            failwith "Blocked1d: eligible block group missing its cache copies"
-      | Some arr ->
-          if not (t.cache_replicas > 1 && level < t.cache_levels) then
-            failwith "Blocked1d: cache copies on an ineligible block group";
-          if Array.length arr <> t.cache_replicas - 1 then
-            failwith "Blocked1d: wrong cache copy count";
-          let all = Array.append owners arr in
-          Array.iteri
-            (fun i h ->
-              Array.iteri (fun i' h' -> if i < i' && h = h' then failwith "Blocked1d: cache copy collides") all)
-            all)
-    t.blocks;
-  Hashtbl.iter
-    (fun (level, _, _) _ ->
-      if not (t.cache_replicas > 1 && level < t.cache_levels) then
-        failwith "Blocked1d: stale cache entry outside the window")
-    t.cache;
+     k - 1 copies, and all copies of a group — owners and cache — sit on
+     pairwise distinct hosts. (Liveness is not checked — like owners,
+     cache placements go stale between a kill and the next
+     repair/rebuild.) *)
+  iter_blocks t (fun level _ blk ->
+      let expect = if t.cache_replicas > 1 && level < t.cache_levels then t.cache_replicas - 1 else 0 in
+      if Array.length blk.cache <> expect then
+        failwith
+          (Printf.sprintf "Blocked1d: block group at level %d has %d cache copies, expected %d" level
+             (Array.length blk.cache) expect);
+      let all = Array.append blk.owners blk.cache in
+      Array.iteri
+        (fun i h ->
+          Array.iteri (fun i' h' -> if i < i' && h = h' then failwith "Blocked1d: copies collide") all)
+        all);
   (* Conflict-chain soundness: on every level, the range containing a probe
      key conflicts with the range containing it one level up. *)
   if n > 0 then begin
-    let probes = [ O.get t.keys 0 - 1; O.get t.keys (n / 2); O.get t.keys (n - 1) + 1 ] in
+    let probes = [ keys.(0) - 1; keys.(n / 2); keys.(n - 1) + 1 ] in
+    let origin_path = paths.(n / 2) in
     List.iter
       (fun q ->
-        let origin = O.get t.keys (n / 2) in
         let rec walk level =
           if level > 0 then begin
-            let b = prefix t origin level in
-            let child = Hashtbl.find t.sets (level, b) in
-            let parent = Hashtbl.find t.sets (level - 1, b / 2) in
+            let b = origin_path lsr (t.top - level) in
+            let child = t.sets.(level).(b) in
+            let parent = t.sets.(level - 1).(b / 2) in
             let child_range = L.locate child q in
             let plo, phi = L.conflict_interval ~parent ~child child_range in
             let pcode = L.encode (L.locate parent q) in
@@ -725,8 +748,12 @@ type repair_stats = { scanned : int; repaired : int; messages : int; lost : int 
    migrates the stranded charges as a side effect of re-charging. *)
 let repair t =
   let scanned = ref 0 and repaired = ref 0 and messages = ref 0 and lost = ref 0 in
-  let account copies units =
+  (* Cache copies are billed exactly like data replicas: a cached group's
+     copies on dead hosts are steals from any surviving copy — owner or
+     cache — and the rebuild below re-draws them over live hosts only. *)
+  let account blk units =
     incr scanned;
+    let copies = Array.append blk.owners blk.cache in
     let any_live = Array.exists (fun h -> Network.alive t.net h) copies in
     Array.iter
       (fun h ->
@@ -736,26 +763,10 @@ let repair t =
         end)
       copies
   in
-  (* Cache copies are billed exactly like data replicas: a cached group's
-     copies on dead hosts are steals from any surviving copy — owner or
-     cache — and the rebuild below re-draws them over live hosts only. *)
-  let with_cache group owners =
-    match Hashtbl.find_opt t.cache group with
-    | Some arr -> Array.append owners arr
-    | None -> owners
-  in
-  Hashtbl.iter
-    (fun (level, b, j) owners ->
-      let units = block_units t level b j in
-      if units > 0 then account (with_cache (level, b, j) owners) units)
-    t.blocks;
-  Hashtbl.iter
-    (fun (lvl, cb) lst ->
-      let base, pb = cone_group t lvl cb in
-      List.iter
-        (fun (clo, chi, owners, j) -> account (with_cache (base, pb, j) owners) (chi - clo + 1))
-        lst)
-    t.replicas;
+  iter_blocks t (fun level b blk ->
+      let clo, chi = block_codes t t.sets.(level).(b) blk.j in
+      account blk (chi - clo + 1));
+  Array.iter (Array.iter (Array.iter (fun c -> account c.block (c.hi - c.lo + 1)))) t.cones;
   rebuild t;
   { scanned = !scanned; repaired = !repaired; messages = !messages; lost = !lost }
 
@@ -767,22 +778,18 @@ let range t ~rng ~lo ~hi =
   else begin
     let locate = query t ~rng lo in
     (* Walk the bottom level (the full set, prefix 0) from lo's range to
-       hi's: consecutive ranges share blocks except at block boundaries. *)
-    let arr = Hashtbl.find t.sets (0, 0) in
-    let clo, chi = L.range_codes arr ~lo ~hi in
+       hi's: the host changes only where the walk enters a new block. *)
+    let clo, chi = L.range_codes t.sets.(0).(0) ~lo ~hi in
+    let blocks = t.blocks.(0).(0) in
+    let host j = entry_rep t blocks.(j).owners in
     let crossings = ref 0 in
-    let cur = ref (match hosts_of t 0 0 clo with [] -> 0 | hs -> route_of t hs) in
-    let c = ref clo in
-    while !c <= chi do
-      (match hosts_of t 0 0 !c with
-      | [] -> ()
-      | hs ->
-          let h = route_of t hs in
-          if h <> !cur then begin
-            incr crossings;
-            cur := h
-          end);
-      incr c
+    let cur = ref (host (clo / t.bsize)) in
+    for j = (clo / t.bsize) + 1 to chi / t.bsize do
+      let h = host j in
+      if h <> !cur then begin
+        incr crossings;
+        cur := h
+      end
     done;
     { keys = O.range_keys t.keys ~lo ~hi; messages = locate.messages + !crossings }
   end

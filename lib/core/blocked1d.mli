@@ -51,10 +51,13 @@ val build :
 
     With [pool], the rebuild's two bulk phases — per-level set bucketing
     and per-block cone computation — fan out over the pool's domains,
-    with sequential commits in between, so the resulting structure
-    (including the head-host order of every replica list, and hence every
-    later query's message count) and all memory charges are bit-identical
-    for any jobs count. The structure {e keeps} the pool for the rebuilds
+    with sequential commits in between, so the resulting structure and
+    all memory charges are bit-identical for any jobs count. That includes
+    the order of every cone array: the cone intervals of one non-basic set
+    are kept in descending block index, a query binary-searches that array
+    for the slice of intervals covering its range and routes to the
+    slice's head first, so the order is visible in every later query's
+    message count. The structure {e keeps} the pool for the rebuilds
     that {!insert}/{!delete} trigger: the pool must stay alive as long as
     this structure receives updates, or be detached with {!set_pool}.
 
@@ -162,7 +165,10 @@ val delete_batch : ?pool:Skipweb_util.Pool.t -> t -> int array -> int
 
 val check_invariants : t -> unit
 (** Level partitions, block coverage, replica coverage of non-basic
-    ranges, and conflict-chain soundness on samples. *)
+    ranges, the cone-array order that queries binary-search (block
+    indices strictly decreasing, interval ends non-increasing), cache
+    placement, and conflict-chain soundness on samples. Raises [Failure]
+    naming the broken invariant. *)
 
 (** {1 Failure handling}
 

@@ -14,6 +14,7 @@
        cross-checks per-host charges against the simulator). *)
 
 module Network = Skipweb_net.Network
+module Trace = Skipweb_net.Trace
 module Obs = Skipweb_net.Observatory
 module Placement = Skipweb_net.Placement
 module H = Skipweb_core.Hierarchy
@@ -309,10 +310,29 @@ let test_blocked_set_cache_roundtrip () =
   (* A build with the same cache parameters lands every copy identically:
      per-host memory must agree exactly (placement is pure). *)
   let net2 = Network.create ~hosts:64 in
-  let _b2 = B1.build ~net:net2 ~seed ~m:16 ~cache_levels:8 ~cache_replicas:3 ks in
+  let b2 = B1.build ~net:net2 ~seed ~m:16 ~cache_levels:8 ~cache_replicas:3 ks in
   Array.iteri
     (fun h m -> checki (Printf.sprintf "host %d memory = fresh cached build" h) m (Network.memory net2 h))
     (snapshot ());
+  (* And it routes identically: same message total, same per-host traffic.
+     Memory alone is not enough — a read-path index that [set_cache]
+     forgot to refresh charges the right hosts but routes queries to stale
+     copies. *)
+  let route b net =
+    let bound = 100 * n in
+    let rng = Prng.create 77 in
+    let total = ref 0 in
+    for _ = 1 to 2_000 do
+      total := !total + (B1.query b ~rng (Prng.int rng bound)).B1.messages
+    done;
+    (!total, Array.init (Network.host_count net) (Network.traffic net))
+  in
+  let msgs, traffic = route b net in
+  let msgs2, traffic2 = route b2 net2 in
+  checki "messages = fresh cached build" msgs2 msgs;
+  Array.iteri
+    (fun h t -> checki (Printf.sprintf "host %d traffic = fresh cached build" h) traffic2.(h) t)
+    traffic;
   (* Turning the cache back off releases exactly what it charged. *)
   B1.set_cache b ~levels:8 ~k:1;
   B1.check_invariants b;
@@ -320,6 +340,95 @@ let test_blocked_set_cache_roundtrip () =
     (fun h m -> checki (Printf.sprintf "host %d memory restored" h) before.(h) m)
     (snapshot ());
   checki "storage restored" storage_before (B1.replicated_storage b)
+
+(* ------- blocked routing pins where cone arrays are long ------- *)
+
+(* At n = H = 4096 with m = 4⌈log₂ n⌉ a cone level holds hundreds of
+   overlapping intervals, and a located range is covered by up to 46 of
+   them, so every query reads a slice out of a long cone array. One run
+   returns the message sum (1,000 traced queries plus 200 ranges), a
+   digest of per-host traffic and the multiset of traced [replicas=k]
+   notes. The pins cover r = 1 uncached, and r = 2 cached with the
+   busiest host of the uncached run dead, so failover picks live copies
+   out of those slices. *)
+let blocked_long_cone_run ?(n = 4096) ~r ~cache ~kill () =
+  let seed = 41 in
+  let bound = 100 * n in
+  let ks = W.distinct_ints ~seed ~n ~bound in
+  let net = Network.create ~hosts:n in
+  let m = 4 * Float.to_int (Float.ceil (Float.log2 (Float.of_int n))) in
+  let b =
+    if cache then B1.build ~net ~seed ~m ~r ~cache_levels:4 ~cache_replicas:2 ks
+    else B1.build ~net ~seed ~m ~r ks
+  in
+  B1.check_invariants b;
+  Option.iter (Network.kill net) kill;
+  let rng = Prng.create (seed + 1) in
+  let msgs = ref 0 in
+  let covers = Hashtbl.create 64 in
+  let tr = Trace.create () in
+  for _ = 1 to 1_000 do
+    Trace.clear tr;
+    msgs := !msgs + (B1.query ~trace:tr b ~rng (Prng.int rng bound)).B1.messages;
+    List.iter
+      (function
+        | Trace.Span_close { note = Some s; _ } ->
+            let k = Scanf.sscanf s "replicas=%d" Fun.id in
+            Hashtbl.replace covers k (1 + Option.value ~default:0 (Hashtbl.find_opt covers k))
+        | _ -> ())
+      (Trace.events tr)
+  done;
+  for _ = 1 to 200 do
+    let lo = Prng.int rng (bound - 2_000) in
+    msgs := !msgs + (B1.range b ~rng ~lo ~hi:(lo + 1_999)).B1.messages
+  done;
+  let digest = ref 0 in
+  for h = 0 to n - 1 do
+    digest := ((!digest * 1_000_003) + Network.traffic net h) land 0x3fffffffffff
+  done;
+  (!msgs, !digest, List.sort compare (Hashtbl.fold (fun k c acc -> (k, c) :: acc) covers []))
+
+(* (k, how many traced levels closed with [replicas=k]), recorded before
+   the cone intervals moved from lists to binary-searched arrays; the
+   n = 4096 runs share one multiset, since r, the cache and a dead host
+   never change which intervals cover a range. *)
+let pinned_covers =
+  [
+    (1, 4386); (2, 3133); (3, 1518); (4, 993); (5, 713); (6, 520); (7, 373); (8, 299); (9, 239);
+    (10, 175); (11, 117); (12, 94); (13, 67); (14, 57); (15, 51); (16, 30); (17, 21); (18, 24);
+    (19, 23); (20, 26); (21, 9); (22, 12); (23, 18); (24, 14); (25, 13); (26, 8); (27, 14);
+    (28, 4); (29, 8); (30, 3); (31, 3); (32, 6); (33, 6); (34, 2); (35, 1); (37, 3); (38, 5);
+    (39, 6); (42, 3); (46, 3);
+  ]
+
+let pinned_covers_6000 =
+  [
+    (1, 5532); (2, 2951); (3, 1658); (4, 1016); (5, 696); (6, 480); (7, 344); (8, 318); (9, 205);
+    (10, 172); (11, 133); (12, 99); (13, 98); (14, 54); (15, 32); (16, 32); (17, 22); (18, 40);
+    (19, 17); (20, 17); (21, 12); (22, 15); (23, 14); (24, 3); (25, 4); (26, 6); (27, 3); (28, 3);
+    (29, 3); (32, 1); (33, 1); (34, 3); (35, 2); (36, 4); (37, 2); (39, 3); (41, 1); (42, 2);
+    (47, 2);
+  ]
+
+let test_blocked_long_cone_pins () =
+  let check ?(covers = pinned_covers) name (msgs, digest, covers') (msgs', digest') =
+    checki (name ^ ": pinned messages") msgs' msgs;
+    checki (name ^ ": pinned traffic digest") digest' digest;
+    checkb (name ^ ": pinned replicas= notes") true (covers' = covers)
+  in
+  check "r=1 uncached"
+    (blocked_long_cone_run ~r:1 ~cache:false ~kill:None ())
+    (3057, 14248481697636);
+  check "r=2 cached, one host dead"
+    (blocked_long_cone_run ~r:2 ~cache:true ~kill:(Some 1398) ())
+    (3057, 37183467976456);
+  (* At n = 4096 the top level is basic, so a query starts at a single
+     block and the order inside a covering slice never decides a host.
+     At n = 6000 the top level is a cone level: the start host is the
+     head of the top slice, which pins the array order itself. *)
+  check ~covers:pinned_covers_6000 "n=6000 r=1 uncached"
+    (blocked_long_cone_run ~n:6000 ~r:1 ~cache:false ~kill:None ())
+    (3022, 49885116353889)
 
 (* ------- hierarchy cache memory accounting through growth ------- *)
 
@@ -421,6 +530,7 @@ let suite =
     Alcotest.test_case "hierarchy cache repair lifecycle" `Quick test_hierarchy_cache_repair;
     Alcotest.test_case "blocked cache repair lifecycle" `Quick test_blocked_cache_repair;
     Alcotest.test_case "blocked set_cache round-trip" `Quick test_blocked_set_cache_roundtrip;
+    Alcotest.test_case "blocked routing pins, long cone arrays" `Quick test_blocked_long_cone_pins;
     Alcotest.test_case "hierarchy cache charges track growth" `Quick
       test_hierarchy_cache_charges_track_growth;
     Alcotest.test_case "open-loop deterministic replay" `Quick test_open_loop_deterministic_replay;
